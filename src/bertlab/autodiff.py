@@ -26,10 +26,6 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def set_default_dtype(dtype) -> None:
     global _DEFAULT_DTYPE
     dt = np.dtype(dtype).type
@@ -87,9 +83,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self, grad=None) -> None:
         """Reverse-mode pass from this tensor; leaf gradients accumulate additively."""
@@ -439,34 +432,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
 def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients of
     scalar-valued f at x: max_i |a_i - n_i| / max(1, |a_i|)."""
-    x.grad = None
-    out = f(x)
-    if out.data.ndim != 0:
-        raise DimensionError("grad_check-nonscalar", out.data.shape)
-    out.backward()
-    analytic = (x.grad if x.grad is not None else np.zeros_like(x.data)).reshape(-1).copy()
-    numeric = _central_differences(f, x, h)
-    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
-        raise NumericFault("grad_check: non-finite gradient")
-    rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))
-    return float(rel.max()) if rel.size else 0.0
-
-
-def _central_differences(f, x: Tensor, h: float) -> np.ndarray:
-    flat = x.data.reshape(-1)
-    numeric = np.zeros(flat.size, dtype=np.float64)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f(x).data)
-            flat[i] = orig - h
-            fm = float(f(x).data)
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * h)
-    if not np.isfinite(numeric).all():
-        raise NumericFault("grad_check: non-finite finite-difference value")
-    return numeric
+    return grad_check_params(lambda: f(x), {"x": x}, h)["x"]
 
 
 def grad_check_params(f, params, h: float = 1e-5, max_coords: int = 0) -> dict:
@@ -485,6 +451,8 @@ def grad_check_params(f, params, h: float = 1e-5, max_coords: int = 0) -> dict:
         path: (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1).copy()
         for path, t in params.items()
     }
+    if not all(np.isfinite(a).all() for a in analytic.values()):
+        raise NumericFault("grad_check: non-finite gradient")
     errors = {}
     for path, t in params.items():
         size = t.data.size

@@ -126,9 +126,7 @@ def _out_dir(cfg: dict, command: str) -> str:
 
 
 def _snapshot(cfg: dict, out: str) -> None:
-    with open(os.path.join(out, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    _write_json(os.path.join(out, "config.json"), cfg)
 
 
 def _write_json(path, payload) -> None:

@@ -22,7 +22,9 @@ from . import model as md
 from .autodiff import Tensor
 from .errors import ConfigurationError, InputError, ValidationError
 from .mitigation import llrd_factors
-from .pretrain import IGNORE_INDEX, ModelState, _resolve_init, adam_step
+# adam_step stays importable from here: perfbench traces and tests that binding
+from .pretrain import (IGNORE_INDEX, ModelState, _resolve_init, adam_step,  # noqa: F401
+                       pad_rows, train_step)
 from .seeding import substream
 from .tokenizer import (Vocabulary, _is_punct, encode, encode_with_offsets,
                         normalize)
@@ -554,17 +556,6 @@ def featurize_re(example: ReExample, vocab: Vocabulary, label_ids: dict,
                      label=label_ids[example.relation])
 
 
-def _collate(rows, pad_id):
-    """(input_ids, attention_mask) padded to the longest row."""
-    length = max(len(r) for r in rows)
-    ids = np.full((len(rows), length), pad_id, dtype=np.int64)
-    mask = np.zeros((len(rows), length), dtype=np.int64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        mask[i, : len(r)] = 1
-    return ids, mask
-
-
 def best_span(start_row: np.ndarray, end_row: np.ndarray, lo: int, hi: int,
               max_pieces: int):
     """(start, end) maximizing start_row[s] + end_row[e] subject to
@@ -727,18 +718,20 @@ class _TaskRunner:
     def head_width(self):
         return {"ner": len(self.labels), "qa": 2, "re": len(self.labels)}[self.task]
 
+    def forward(self, params, rows, train=False, rng=None) -> Tensor:
+        """Encoder output for a batch of features, padded to its longest row;
+        QA rows carry their segment ids, every other task uses segment 0."""
+        ids = pad_rows([f.ids for f in rows], self.vocab.pad_id)
+        mask = pad_rows([[1] * len(f.ids) for f in rows], 0)
+        segments = (pad_rows([f.segments for f in rows], 0) if self.task == "qa"
+                    else np.zeros_like(ids))
+        return md.forward_encoder(params, self.config, ids, segments, mask,
+                                  train=train, rng=rng)
+
     def loss(self, params, rows, train=False, rng=None):
-        ids, mask = _collate([f.ids for f in rows], self.vocab.pad_id)
-        segments = np.zeros_like(ids)
-        if self.task == "qa":
-            for i, f in enumerate(rows):
-                segments[i, : len(f.segments)] = f.segments
-        hidden = md.forward_encoder(params, self.config, ids, segments, mask,
-                                    train=train, rng=rng)
+        hidden = self.forward(params, rows, train=train, rng=rng)
         if self.task == "ner":
-            labels = np.full(ids.shape, IGNORE_INDEX, dtype=np.int64)
-            for i, f in enumerate(rows):
-                labels[i, : len(f.labels)] = f.labels
+            labels = pad_rows([f.labels for f in rows], IGNORE_INDEX)
             return ad.cross_entropy(md.ner_logits(hidden, params), labels)
         if self.task == "re":
             labels = np.array([f.label for f in rows], dtype=np.int64)
@@ -765,19 +758,10 @@ class _TaskRunner:
         for i in range(0, len(rows), self.plan.batch_size):
             yield rows[i: i + self.plan.batch_size]
 
-    def _hidden(self, params, chunk, use_segments=False):
-        ids, mask = _collate([f.ids for f in chunk], self.vocab.pad_id)
-        segs = np.zeros_like(ids)
-        if use_segments:
-            for i, f in enumerate(chunk):
-                segs[i, : len(f.segments)] = f.segments
-        return ids, md.forward_encoder(params, self.config, ids, segs, mask)
-
     def _eval_ner(self, params, rows) -> PRF:
         gold, predicted = [], []
         for chunk in self._batches(rows):
-            _, hidden = self._hidden(params, chunk)
-            logits = md.ner_logits(hidden, params).data
+            logits = md.ner_logits(self.forward(params, chunk), params).data
             picked = np.argmax(logits, axis=-1)
             for i, f in enumerate(chunk):
                 tags = [self.labels[picked[i, pos]] for pos in f.word_positions]
@@ -789,8 +773,8 @@ class _TaskRunner:
         neg = self.dataset.negative_label
         gold, predicted = [], []
         for chunk in self._batches(rows):
-            _, hidden = self._hidden(params, chunk)
-            picked = np.argmax(md.re_logits(hidden, params).data, axis=-1)
+            picked = np.argmax(md.re_logits(self.forward(params, chunk), params).data,
+                               axis=-1)
             for i, f in enumerate(chunk):
                 gold.append(self.labels[f.label])
                 predicted.append(self.labels[picked[i]])
@@ -799,8 +783,7 @@ class _TaskRunner:
     def _eval_qa(self, params, rows) -> PRF:
         scores = []
         for chunk in self._batches(rows):
-            _, hidden = self._hidden(params, chunk, use_segments=True)
-            start_logits, end_logits = md.qa_logits(hidden, params)
+            start_logits, end_logits = md.qa_logits(self.forward(params, chunk), params)
             for i, f in enumerate(chunk):
                 lo, hi = f.context_range
                 s, e = best_span(start_logits.data[i], end_logits.data[i],
@@ -820,8 +803,7 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
               for p, t in base_params.items()}
     md.add_task_head(params, config, runner.task, runner.head_width,
                      substream(seed, "head.init"))
-    factors = (llrd_factors(sorted(params), plan.llrd_decay, config.n_layers)
-               if plan.llrd_decay and plan.llrd_decay != 1.0 else None)
+    factors = llrd_factors(sorted(params), plan.llrd_decay, config.n_layers)
     opt_state = {}
     train_rows = runner.features["train"]
     best = (-1.0, -1, None)
@@ -830,13 +812,9 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
         order = substream(seed, f"order.{epoch}").permutation(len(train_rows))
         for b, chunk_start in enumerate(range(0, len(order), plan.batch_size)):
             rows = [train_rows[i] for i in order[chunk_start: chunk_start + plan.batch_size]]
-            for t in params.values():
-                t.grad = None
-            rng = (substream(seed, f"dropout.{epoch}.{b}")
-                   if config.dropout_rate > 0 else None)
-            loss = runner.loss(params, rows, train=True, rng=rng)
-            loss.backward()
-            adam_step(params, opt_state, plan.lr, plan, lr_factors=factors)
+            loss = runner.loss(params, rows, train=True,
+                               rng=substream(seed, f"dropout.{epoch}.{b}"))
+            train_step(loss, params, opt_state, plan.lr, plan, factors)
         dev = runner.evaluate(params, "dev")
         if dev.f1 > best[0]:
             best = (dev.f1, epoch, {p: t.data.copy() for p, t in params.items()})
@@ -866,15 +844,7 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
                                  f"{dataset.task!r}")
     if not seeds:
         raise ConfigurationError("seed list is empty")
-    state, _, _, lineage = _resolve_init(init, None, None)
-    if len(state.vocab) != state.config.vocab_size:
-        raise ConfigurationError(
-            f"vocabulary size {len(state.vocab)} != model vocab_size "
-            f"{state.config.vocab_size}")
-    if plan.max_seq_len > state.config.max_seq_len:
-        raise ConfigurationError(
-            f"plan max_seq_len {plan.max_seq_len} exceeds model limit "
-            f"{state.config.max_seq_len}")
+    state, _, _, lineage = _resolve_init(init, plan.max_seq_len)
     check_label_coverage(dataset)
     runner = _TaskRunner(dataset, state, plan)
 

@@ -112,6 +112,10 @@ def llrd_lr(base_lr: float, decay, param_path: str, n_layers: int) -> float:
 
 
 def llrd_factors(paths, decay, n_layers: int) -> dict:
+    """Per-path lr factors, or None when decay is off; paths are not resolved
+    then, so any path is accepted."""
+    if decay is None or decay == 1.0:
+        return None
     return {p: llrd_lr(1.0, decay, p, n_layers) for p in paths}
 
 

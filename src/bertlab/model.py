@@ -255,12 +255,3 @@ def re_logits(hidden: Tensor, params: dict) -> Tensor:
 def _require_head(params: dict, name: str) -> None:
     if f"heads.{name}.weight" not in params:
         raise ConfigurationError(f"model has no initialized {name!r} head")
-
-
-def head_width(params: dict, name: str) -> int:
-    _require_head(params, name)
-    return params[f"heads.{name}.weight"].shape[1]
-
-
-def num_params(params: dict) -> int:
-    return sum(t.data.size for t in params.values())

@@ -303,22 +303,19 @@ class BatchStream:
             positions = self._select_positions(ids, specials, rng)
             targets = self._corrupt(ids, positions, rng)
             rows.append((ids, segs, targets, label))
-        length = max(len(r[0]) for r in rows)
-        n = len(rows)
-        input_ids = np.full((n, length), self.vocab.pad_id, dtype=np.int64)
-        segment_ids = np.zeros((n, length), dtype=np.int64)
-        attention_mask = np.zeros((n, length), dtype=np.int64)
-        mlm_targets = np.full((n, length), IGNORE_INDEX, dtype=np.int64)
-        nsp_labels = np.zeros(n, dtype=np.int64)
-        for i, (ids, segs, targets, label) in enumerate(rows):
-            k = len(ids)
-            input_ids[i, :k] = ids
-            segment_ids[i, :k] = segs
-            attention_mask[i, :k] = 1
-            mlm_targets[i, :k] = targets
-            nsp_labels[i] = label
-        return PretrainBatch(input_ids, segment_ids, attention_mask,
-                             mlm_targets, nsp_labels)
+        ids, segs, targets, labels = zip(*rows)
+        return PretrainBatch(pad_rows(ids, self.vocab.pad_id), pad_rows(segs, 0),
+                             pad_rows([[1] * len(r) for r in ids], 0),
+                             pad_rows(targets, IGNORE_INDEX),
+                             np.array(labels, dtype=np.int64))
+
+
+def pad_rows(rows, fill) -> np.ndarray:
+    """int64 array of the rows, right-padded with fill to the longest one."""
+    out = np.full((len(rows), max(len(r) for r in rows)), fill, dtype=np.int64)
+    for i, r in enumerate(rows):
+        out[i, :len(r)] = r
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +351,16 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
         t.data -= (lr * factor) * update
 
 
+def train_step(loss, params: dict, opt_state: dict, lr: float, plan,
+               lr_factors: dict = None, frozen=frozenset()) -> None:
+    """One update: backward from `loss` into freshly cleared gradients, then
+    `adam_step`."""
+    for t in params.values():
+        t.grad = None
+    loss.backward()
+    adam_step(params, opt_state, lr, plan, lr_factors=lr_factors, frozen=frozen)
+
+
 # ---------------------------------------------------------------------------
 # metrics log
 # ---------------------------------------------------------------------------
@@ -370,9 +377,9 @@ class MetricsLog:
         if self.path:
             try:
                 with open(self.path, encoding="utf-8") as fh:
-                    for line in fh:
+                    for n, line in enumerate(fh, 1):
                         if line.strip():
-                            self._last_step = json.loads(line)["step"]
+                            self._last_step = _logged_step(line, f"{self.path} line {n}")
             except OSError:
                 pass
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -394,6 +401,17 @@ class MetricsLog:
         if self._fh:
             self._fh.close()
             self._fh = None
+
+
+def _logged_step(line: str, where: str) -> int:
+    """The step of one logged record; ValidationError if the line is not one."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: not JSON ({exc.msg})") from exc
+    if not isinstance(record, dict) or not isinstance(record.get("step"), int):
+        raise ValidationError(f"{where}: not a metrics record with an integer step")
+    return record["step"]
 
 
 def load_metrics(path) -> list:
@@ -435,15 +453,27 @@ def pretrain_loss(params: dict, config: md.ModelConfig, batch: PretrainBatch,
     return ad.add(mlm, nsp), float(mlm.data), float(nsp.data)
 
 
-def _resolve_init(init, optimizer_state, start_step):
+def _resolve_init(init, max_seq_len: int, optimizer_state=None, start_step=None):
+    """(state, optimizer state, start step, lineage) from a ModelState or a
+    loaded checkpoint, after checking that the vocabulary fits the model and
+    that the model has positions for max_seq_len."""
     if isinstance(init, ModelState):
-        return init, dict(optimizer_state or {}), start_step or 0, ()
-    # duck-typed checkpoint from the persistence layer
-    state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
-    opt = dict(optimizer_state if optimizer_state is not None
-               else (init.optimizer_state or {}))
-    lineage = tuple(init.lineage) + ((init.checkpoint_id,) if init.checkpoint_id else ())
-    return state, opt, (start_step if start_step is not None else init.step), lineage
+        state, opt, start, lineage = init, dict(optimizer_state or {}), start_step or 0, ()
+    else:
+        # duck-typed checkpoint from the persistence layer
+        state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
+        opt = dict(optimizer_state if optimizer_state is not None
+                   else (init.optimizer_state or {}))
+        lineage = tuple(init.lineage) + ((init.checkpoint_id,) if init.checkpoint_id else ())
+        start = start_step if start_step is not None else init.step
+    config = state.config
+    if len(state.vocab) != config.vocab_size:
+        raise ConfigurationError(
+            f"vocabulary size {len(state.vocab)} != model vocab_size {config.vocab_size}")
+    if max_seq_len > config.max_seq_len:
+        raise ConfigurationError(
+            f"plan max_seq_len {max_seq_len} exceeds model limit {config.max_seq_len}")
+    return state, opt, start, lineage
 
 
 def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary = None,
@@ -456,18 +486,13 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     held-out pseudo-perplexity. Passing `vocab` asserts that the run's
     vocabulary matches init's; an adaptation chain must share one vocabulary.
     """
-    state, opt_state, start, lineage = _resolve_init(init, optimizer_state, start_step)
+    state, opt_state, start, lineage = _resolve_init(init, plan.max_seq_len,
+                                                     optimizer_state, start_step)
     if vocab is not None and vocab.fingerprint != state.vocab.fingerprint:
         raise ConfigurationError(
             "vocabulary fingerprint mismatch: checkpoint "
             f"{state.vocab.fingerprint[:12]}… vs bound {vocab.fingerprint[:12]}…")
     config = state.config
-    if len(state.vocab) != config.vocab_size:
-        raise ConfigurationError(
-            f"vocabulary size {len(state.vocab)} != model vocab_size {config.vocab_size}")
-    if plan.max_seq_len > config.max_seq_len:
-        raise ConfigurationError(
-            f"plan max_seq_len {plan.max_seq_len} exceeds model limit {config.max_seq_len}")
     cf = plan.cf or CFConfig()
     cf.validate(config.n_layers)
     stop = plan.total_steps if stop_step is None else stop_step
@@ -486,8 +511,7 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
         replay_stream = BatchStream(replay_corpus, state.vocab, plan, label="replay")
 
     anchor = take_anchor(state.params) if cf.mixout_p else None
-    factors = (llrd_factors(sorted(state.params), cf.llrd_decay, config.n_layers)
-               if cf.llrd_decay and cf.llrd_decay != 1.0 else None)
+    factors = llrd_factors(sorted(state.params), cf.llrd_decay, config.n_layers)
     frozen = frozen_paths(state.params, cf.freeze_layers, config.n_layers)
 
     metrics = MetricsLog(metrics_path)
@@ -499,19 +523,15 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
             if replay:
                 replay_log.append(step + 1)
             lr = lr_at(step, plan)
-            for t in state.params.values():
-                t.grad = None
             if anchor is not None:
                 fparams = mixout_apply(state.params, anchor, cf.mixout_p,
                                        substream(plan.seed, f"mixout.{step}"))
             else:
                 fparams = state.params
-            drop_rng = (substream(plan.seed, f"dropout.{step}")
-                        if config.dropout_rate > 0 else None)
-            loss, mlm_value, nsp_value = pretrain_loss(fparams, config, batch,
-                                                       train=True, rng=drop_rng)
-            loss.backward()
-            adam_step(state.params, opt_state, lr, plan, lr_factors=factors, frozen=frozen)
+            loss, mlm_value, nsp_value = pretrain_loss(
+                fparams, config, batch, train=True,
+                rng=substream(plan.seed, f"dropout.{step}"))
+            train_step(loss, state.params, opt_state, lr, plan, factors, frozen)
             pppl_value = None
             if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
                 pppl_value = heldout_pppl(state, held_sentences)

@@ -5,7 +5,7 @@ import pytest
 
 from bertlab import autodiff as ad
 from bertlab.autodiff import Tensor
-from bertlab.errors import DimensionError
+from bertlab.errors import DimensionError, NumericFault
 
 FD_TOL = 1e-5
 
@@ -89,6 +89,34 @@ def test_constant_function_has_zero_gradient():
     x = Tensor(np.ones(3), requires_grad=True)
     err = ad.grad_check(lambda t: ad.sum_all(Tensor(np.zeros(1))), x)
     assert err == 0.0
+
+
+def _identity_with_backward(t, grad_of):
+    # an op whose forward is the identity but whose backward passes grad_of(g)
+    return ad._node(t.data.copy(), (t,), lambda g: ad._accumulate(t, grad_of(g)))
+
+
+CHECKERS = {
+    "grad_check": lambda f, x: ad.grad_check(f, x),
+    "grad_check_params": lambda f, x: ad.grad_check_params(lambda: f(x), {"x": x})["x"],
+    "grad_check_params-max_coords":
+        lambda f, x: ad.grad_check_params(lambda: f(x), {"x": x}, max_coords=3)["x"],
+}
+
+
+@pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
+def test_checker_reports_a_wrong_backward(check):
+    x = rand((4, 5), seed=30)
+    doubled = lambda t: ad.sum_all(_identity_with_backward(t, lambda g: 2.0 * g))
+    assert check(doubled, x) > FD_TOL
+
+
+@pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
+def test_checker_rejects_a_non_finite_analytic_gradient(check):
+    x = rand((4, 5), seed=31)
+    nan = lambda t: ad.sum_all(_identity_with_backward(t, lambda g: g * np.nan))
+    with pytest.raises(NumericFault):
+        check(nan, x)
 
 
 def test_dimension_error_names_op_and_shapes():

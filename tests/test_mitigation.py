@@ -23,6 +23,10 @@ def test_llrd_deepest_layer_closed_form():
 def test_llrd_decay_one_is_identity():
     for path in ("encoder.0.ffn.in.weight", "embeddings.token", "heads.nsp.weight"):
         assert mit.llrd_lr(3e-4, 1.0, path, 12) == 3e-4
+    for decay in (None, 1.0):
+        # with decay off no path is resolved, so an unresolvable one is accepted
+        assert mit.llrd_factors(["encoder.0.ffn.in.weight", "dummy.weight"],
+                                decay, 12) is None
 
 
 def test_llrd_groups_and_monotonicity():

@@ -447,6 +447,15 @@ def test_metrics_log_reopen_resumes_monotonic_check(tmp_path):
     assert [r["step"] for r in pt.load_metrics(path)] == [4, 5]
 
 
+@pytest.mark.parametrize("bad_line", ['{"step": 5, "mlm_lo', '[5, 1.0]', '{"mlm_loss": 1.0}'],
+                         ids=["truncated", "list", "no-step"])
+def test_metrics_log_reopen_rejects_corrupt_record(tmp_path, bad_line):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"step": 4, "mlm_loss": 1.0}\n' + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 2"):
+        pt.MetricsLog(path)
+
+
 # -- training loop ----------------------------------------------------------
 
 
