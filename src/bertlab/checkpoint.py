@@ -19,6 +19,7 @@ file size before it happens. Writes go to a temp file renamed into place.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import model as md
 from .autodiff import Tensor
-from .errors import ConfigurationError, IntegrityError
+from .errors import ConfigurationError, IntegrityError, ValidationError
 from .tokenizer import Vocabulary
 
 MAGIC = b"BLCKPT01"
@@ -151,8 +152,10 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
             _fail(12, f"header length {header_len} exceeds file size {size}")
         try:
             header = json.loads(_read_exact(fh, header_len, _HEADER_START, "header"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
             _fail(_HEADER_START, f"header is not valid JSON ({exc})")
+        if not isinstance(header, dict):
+            _fail(_HEADER_START, "header is not a JSON object")
 
         payload_start = _HEADER_START + header_len
         payload_size = size - payload_start
@@ -160,6 +163,8 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         opt_manifest = header.get("optimizer_manifest", [])
         if not isinstance(manifest, list):
             _fail(_HEADER_START, "header has no tensor manifest")
+        if not isinstance(opt_manifest, list):
+            _fail(_HEADER_START, "optimizer manifest is not a list")
         _validate_manifest(manifest + opt_manifest, payload_start, payload_size)
 
         def read_array(entry):
@@ -175,7 +180,7 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         config = md.ModelConfig(**header["config"])
         vocab = Vocabulary.from_tokens(header["vocab_tokens"],
                                        lowercase=header.get("vocab_lowercase", False))
-    except (KeyError, TypeError, ConfigurationError) as exc:
+    except (KeyError, TypeError, ConfigurationError, ValidationError) as exc:
         _fail(_HEADER_START, f"invalid config record ({exc})")
     if vocab.fingerprint != header.get("vocab_fingerprint"):
         _fail(_HEADER_START, "stored fingerprint does not match stored tokens")
@@ -184,37 +189,52 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
             "checkpoint was trained with a different vocabulary: "
             f"{vocab.fingerprint[:12]}… vs bound {expect_vocab.fingerprint[:12]}…")
 
+    lineage, step = header.get("lineage", []), header.get("step", 0)
+    opt_t = header.get("optimizer_t", {})
+    if not (isinstance(lineage, list) and all(isinstance(c, str) for c in lineage)
+            and _is_count(step) and isinstance(opt_t, dict)
+            and all(_is_count(t) for t in opt_t.values())):
+        _fail(_HEADER_START, "malformed lineage, step or optimizer step counts")
     optimizer_state = {}
-    for p, t in header.get("optimizer_t", {}).items():
+    for p, t in opt_t.items():
         try:
             optimizer_state[p] = {"m": opt_arrays[f"m.{p}"], "v": opt_arrays[f"v.{p}"],
-                                  "t": int(t)}
+                                  "t": t}
         except KeyError:
             _fail(_HEADER_START, f"optimizer section is missing arrays for {p}")
 
     return Checkpoint(params=params, config=config, vocab=vocab,
-                      lineage=tuple(header.get("lineage", [])),
-                      step=int(header.get("step", 0)),
+                      lineage=tuple(lineage), step=step,
                       optimizer_state=optimizer_state,
                       checkpoint_id=file_sha256(path), path=str(path))
+
+
+def _is_count(x) -> bool:
+    return type(x) is int and x >= 0
 
 
 def _validate_manifest(entries, payload_start: int, payload_size: int) -> None:
     seen = set()
     spans = []
     for e in entries:
-        if not isinstance(e, dict) or not {"path", "dtype", "shape", "offset", "nbytes"} <= set(e):
+        # no dimension may exceed the payload, so even a zero-element tensor
+        # has a shape numpy can build
+        if not (isinstance(e, dict) and {"path", "dtype", "shape", "offset", "nbytes"} <= set(e)
+                and isinstance(e["path"], str) and isinstance(e["dtype"], str)
+                and isinstance(e["shape"], list)
+                and all(_is_count(d) and d <= payload_size for d in e["shape"])
+                and _is_count(e["offset"]) and _is_count(e["nbytes"])):
             _fail(_HEADER_START, f"malformed manifest entry {e!r}")
         if e["path"] in seen:
             _fail(_HEADER_START, f"manifest lists {e['path']!r} twice")
         seen.add(e["path"])
         if e["dtype"] not in _DTYPES:
             _fail(_HEADER_START, f"unknown dtype {e['dtype']!r} for {e['path']}")
-        expected = int(np.prod(e["shape"], dtype=np.int64)) * _DTYPES[e["dtype"]].itemsize
+        expected = math.prod(e["shape"]) * _DTYPES[e["dtype"]].itemsize
         if expected != e["nbytes"]:
             _fail(_HEADER_START,
                   f"{e['path']}: shape {e['shape']} needs {expected} bytes, manifest says {e['nbytes']}")
-        if e["offset"] < 0 or e["offset"] + e["nbytes"] > payload_size:
+        if e["offset"] + e["nbytes"] > payload_size:
             _fail(payload_start + e["offset"],
                   f"tensor {e['path']} extends past end of file")
         spans.append((e["offset"], e["offset"] + e["nbytes"], e["path"]))

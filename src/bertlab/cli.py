@@ -21,7 +21,7 @@ from . import mlmeval
 from . import model as md
 from . import pretrain as pt
 from . import tokenizer as tk
-from .errors import BertlabError, ConfigurationError, InputError
+from .errors import BertlabError, ConfigurationError, InputError, read_json
 from .seeding import substream
 
 COMMANDS = ("vocab-train", "pretrain", "adapt", "eval-mlm", "finetune",
@@ -52,16 +52,7 @@ class RunLog:
 
 
 def load_run_config(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InputError(f"config {path} must hold a JSON object")
-    return cfg
+    return read_json(path, "config")
 
 
 def resolve_config(args) -> dict:
@@ -363,8 +354,8 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
         baseline = None
         if task in baselines:
             baseline_path = _require_file(baselines[task], f"{task} baseline report")
-            with open(baseline_path, encoding="utf-8") as fh:
-                baseline = ft.TaskReport.from_dict(json.load(fh))
+            baseline = ft.TaskReport.from_dict(
+                read_json(baseline_path, f"{task} baseline report"))
         result = ft.finetune_task(loaded, dataset, plan, seeds=seeds,
                                   model_name=model_name, baseline=baseline,
                                   checkpoint_dir=os.path.join(out, "checkpoints"))

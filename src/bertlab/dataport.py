@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import finetune as ft
 from . import tokenizer as tk
-from .errors import ConfigurationError, InputError, ValidationError
+from .errors import ConfigurationError, InputError, ValidationError, read_text
 from .seeding import substream
 
 DROP_REASONS = ("mention_not_found", "ambiguous_after_policy", "empty_translation")
@@ -137,13 +137,8 @@ class DictionaryTranslator:
 
     @classmethod
     def from_file(cls, path) -> "DictionaryTranslator":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                lines = fh.read().split("\n")
-        except OSError as exc:
-            raise InputError(f"cannot read dictionary {path}: {exc}") from exc
         mapping, problems = {}, []
-        for n, line in enumerate(lines, start=1):
+        for n, line in enumerate(read_text(path, "dictionary").split("\n"), start=1):
             if not line.strip():
                 continue
             cols = line.split("\t")
@@ -206,16 +201,6 @@ class AmbiguousMatch(Exception):
     """Two occurrences equally near the source's relative position."""
 
 
-def _occurrences(haystack: str, needle: str) -> list:
-    out, i = [], 0
-    while True:
-        i = haystack.find(needle, i)
-        if i < 0:
-            return out
-        out.append(i)
-        i += 1
-
-
 def locate_mention(context: str, mention: str, source_start: int,
                    source_length: int, stats: Counter = None):
     """(start, end, tier) for the translated mention inside the translated
@@ -231,7 +216,7 @@ def locate_mention(context: str, mention: str, source_start: int,
     for tier, hay, needle in tiers:
         if not needle:
             return None
-        hits = _occurrences(hay, needle)
+        hits = ft.occurrences(hay, needle)
         if not hits:
             continue
         if len(hits) == 1:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules, with stable CLI exit codes."""
+"""Exception hierarchy shared by all modules, with stable CLI exit codes, and
+the readers every input file goes through, so one place decides which typed
+error each fault of an input file becomes."""
+
+import json
 
 
 class BertlabError(Exception):
@@ -54,3 +58,46 @@ class ValidationError(BertlabError):
             listing = "\n".join(f"  - {item}" for item in self.items)
             detail = f" ({len(self.items)} offending items):\n{listing}"
         super().__init__(message + detail)
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of an input file; InputError when it cannot be read or
+    is not UTF-8. `what` names the file in the message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path, what: str) -> dict:
+    """The JSON object an input file holds; InputError when the file does
+    not parse as JSON or holds something other than an object."""
+    text = read_text(path, what)
+    try:
+        value = json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise InputError(f"{what} {path} must hold a JSON object")
+    return value
+
+
+def read_json_lines(path, what: str, problems: list) -> list:
+    """(physical line number, object) for each non-blank line of a JSONL input
+    file. A line that is not a JSON object is appended to `problems` instead,
+    so the caller can report it with its own schema faults."""
+    records = []
+    for n, line in enumerate(read_text(path, what).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:  # as in read_json
+            problems.append(f"line {n}: invalid JSON ({exc})")
+            continue
+        if isinstance(record, dict):
+            records.append((n, record))
+        else:
+            problems.append(f"line {n}: not a JSON object")
+    return records

@@ -13,14 +13,15 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as md
 from .autodiff import Tensor
-from .errors import ConfigurationError, InputError, ValidationError
+from .errors import (ConfigurationError, InputError, ValidationError, read_json_lines,
+                     read_text)
 from .mitigation import llrd_factors
 # adam_step stays importable from here: perfbench traces and tests that binding
 from .pretrain import (IGNORE_INDEX, ModelState, _resolve_init, adam_step,  # noqa: F401
@@ -188,14 +189,6 @@ def check_label_coverage(dataset: TaskDataset) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().split("\n")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _raise_if(problems, what):
     if problems:
         raise ValidationError(f"{what} failed validation", items=problems)
@@ -207,7 +200,7 @@ def load_ner(path):
     and reconstructed from the tags when missing."""
     sentences, current = [], []
     problems = []
-    for n, line in enumerate(_read_lines(path), start=1):
+    for n, line in enumerate(read_text(path, "NER file").split("\n"), start=1):
         line = line.rstrip()
         if not line:
             if current:
@@ -228,14 +221,7 @@ def load_ner(path):
     sidecars = [None] * len(sentences)
     sidecar_path = str(path) + ".spans"
     if os.path.exists(sidecar_path):
-        records = []
-        for n, line in enumerate(_read_lines(sidecar_path), start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                problems.append(f"sidecar line {n}: invalid JSON ({exc})")
+        records = [r for _, r in read_json_lines(sidecar_path, "span sidecar", problems)]
         if len(records) != len(sentences):
             problems.append(f"sidecar has {len(records)} records "
                             f"for {len(sentences)} sentences")
@@ -297,17 +283,11 @@ def save_ner(examples, path) -> None:
                            for s in ex.spans]}, ensure_ascii=False) + "\n")
 
 
-def _load_jsonl_records(path, build):
+def _load_jsonl_records(path, what, build):
     problems, out, seen = [], [], set()
-    for n, line in enumerate(_read_lines(path), start=1):
-        if not line.strip():
-            continue
+    for n, record in read_json_lines(path, what, problems):
         try:
-            record = json.loads(line)
             example = build(record)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {n}: invalid JSON ({exc})")
-            continue
         except (KeyError, TypeError, ValidationError) as exc:
             problems.append(f"line {n}: {exc}")
             continue
@@ -324,7 +304,7 @@ def _load_jsonl_records(path, build):
 
 def load_qa(path):
     """JSONL records {id, question, context, answers: [{text, answer_start}]}."""
-    return _load_jsonl_records(path, lambda r: QaExample(
+    return _load_jsonl_records(path, "QA file", lambda r: QaExample(
         uid=r["id"], question=r["question"], context=r["context"],
         answers=tuple(Answer(a["text"], a["answer_start"]) for a in r["answers"])))
 
@@ -340,7 +320,7 @@ def save_qa(examples, path) -> None:
 
 def load_re(path):
     """JSONL records {id, text, relation}; entity markers live inside text."""
-    return _load_jsonl_records(path, lambda r: ReExample(
+    return _load_jsonl_records(path, "RE file", lambda r: ReExample(
         uid=r["id"], text=r["text"], relation=r["relation"]))
 
 
@@ -504,18 +484,19 @@ def featurize_ner(example: NerExample, vocab: Vocabulary, label_ids: dict,
                       gold_spans=bio_decode(example.tags))
 
 
+def occurrences(haystack: str, needle: str) -> list:
+    """Every start position of needle in haystack, overlapping ones included."""
+    found, i = [], haystack.find(needle)
+    while i >= 0:
+        found.append(i)
+        i = haystack.find(needle, i + 1)
+    return found
+
+
 def _locate(haystack: str, needle: str, hint: int):
     """Occurrence of needle closest to the hinted character position."""
-    found, start = [], 0
-    while True:
-        i = haystack.find(needle, start)
-        if i < 0:
-            break
-        found.append(i)
-        start = i + 1
-    if not found:
-        return None
-    return min(found, key=lambda i: abs(i - hint))
+    found = occurrences(haystack, needle)
+    return min(found, key=lambda i: abs(i - hint)) if found else None
 
 
 def featurize_qa(example: QaExample, vocab: Vocabulary, max_seq_len: int):
@@ -637,8 +618,12 @@ class TaskReport:
 
     @classmethod
     def from_dict(cls, d) -> "TaskReport":
-        runs = tuple(SeedRun(**r) for r in d["runs"])
-        return cls(**{**{k: v for k, v in d.items() if k != "runs"}, "runs": runs})
+        try:
+            runs = tuple(SeedRun(**r) for r in d["runs"])
+            return cls(**{**{k: v for k, v in d.items() if k != "runs"}, "runs": runs})
+        except (KeyError, TypeError) as exc:
+            raise ValidationError("not a task report",
+                                  items=[f"{type(exc).__name__}: {exc}"]) from exc
 
 
 def mean_sd(values):

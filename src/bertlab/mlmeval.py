@@ -13,17 +13,15 @@ positions) returning one log-probability row per masked position, which
 keeps the metrics testable against hand-built distributions.
 """
 
-import json
 import math
-import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .errors import InputError, NumericFault, ValidationError
-from .tokenizer import Vocabulary, encode
+from .errors import InputError, NumericFault, ValidationError, read_json_lines
+from .tokenizer import Vocabulary, encode, normalize
 
 EXCLUDED_NOT_SINGLE_TOKEN = "target_is_not_a_single_vocabulary_token"
 
@@ -151,17 +149,7 @@ def load_masked_set(path):
     items = []
     seen_ids = set()
     n_records = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read masked set {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: invalid JSON ({exc})")
-            continue
+    for lineno, rec in read_json_lines(path, "masked set", problems):
         n_records += 1
         rid = str(rec.get("id", f"line{lineno}"))
         if rid in seen_ids:
@@ -174,6 +162,9 @@ def load_masked_set(path):
             continue
         spans = []
         for m in maskings:
+            if not isinstance(m, dict):
+                problems.append(f"{rid}: masking {m!r} is not an object")
+                continue
             start, end, answer = m.get("start"), m.get("end"), m.get("answer")
             if not (isinstance(start, int) and isinstance(end, int)
                     and 0 <= start < end <= len(text)):
@@ -216,10 +207,7 @@ class MrrResult:
 
 
 def _single_token_id(answer: str, vocab: Vocabulary):
-    normalized = unicodedata.normalize("NFC", answer)
-    if vocab.lowercase:
-        normalized = normalized.lower()
-    return vocab.ids.get(normalized)
+    return vocab.ids.get(normalize(answer, vocab.lowercase))
 
 
 def mrr_top5(scorer, items, vocab: Vocabulary, max_seq_len: int, k: int = 5) -> MrrResult:

@@ -11,6 +11,7 @@ divisible by the replay frequency.
 """
 
 import json
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from . import mlmeval
 from . import model as md
-from .errors import ConfigurationError, InputError, NumericFault, ValidationError
+from .errors import (ConfigurationError, InputError, NumericFault, ValidationError,
+                     read_json_lines, read_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .seeding import substream
@@ -58,13 +60,8 @@ class Corpus:
 
 def load_corpus(path, provenance: str = "native") -> Corpus:
     """One sentence per line; a blank line closes the current document."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except OSError as exc:
-        raise InputError(f"cannot read corpus {path}: {exc}") from exc
     docs, current = [], []
-    for line in lines:
+    for line in read_text(path, "corpus").split("\n"):
         line = line.strip()
         if line:
             current.append(line)
@@ -375,13 +372,9 @@ class MetricsLog:
         self._last_step = None
         self._fh = None
         if self.path:
-            try:
-                with open(self.path, encoding="utf-8") as fh:
-                    for n, line in enumerate(fh, 1):
-                        if line.strip():
-                            self._last_step = _logged_step(line, f"{self.path} line {n}")
-            except OSError:
-                pass
+            if os.path.exists(self.path):
+                logged = load_metrics(self.path)
+                self._last_step = logged[-1]["step"] if logged else None
             self._fh = open(self.path, "a", encoding="utf-8")
 
     def append(self, record: dict) -> None:
@@ -403,20 +396,16 @@ class MetricsLog:
             self._fh = None
 
 
-def _logged_step(line: str, where: str) -> int:
-    """The step of one logged record; ValidationError if the line is not one."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where}: not JSON ({exc.msg})") from exc
-    if not isinstance(record, dict) or not isinstance(record.get("step"), int):
-        raise ValidationError(f"{where}: not a metrics record with an integer step")
-    return record["step"]
-
-
 def load_metrics(path) -> list:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """The records of a metrics log; ValidationError naming every line that is
+    not a JSON object with an integer step."""
+    problems = []
+    lines = read_json_lines(path, "metrics log", problems)
+    problems += [f"line {n}: not a metrics record with an integer step"
+                 for n, record in lines if not isinstance(record.get("step"), int)]
+    if problems:
+        raise ValidationError(f"metrics log {path} is corrupt", items=problems)
+    return [record for _, record in lines]
 
 
 # ---------------------------------------------------------------------------

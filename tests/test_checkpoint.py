@@ -4,9 +4,12 @@ tampered files, vocabulary-fingerprint enforcement, and lineage verification."""
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertlab import checkpoint as ck
 from bertlab import model as md
@@ -37,15 +40,22 @@ def fake_optimizer_state(params, paths):
             for p in paths}
 
 
-def rewrite_header(path, mutate):
-    """Re-emit the file with a tampered (but length-consistent) header."""
+def replace_header(path, transform):
+    """Re-emit the file with transform(header) as its (length-consistent) header."""
     data = open(path, "rb").read()
     hlen = int.from_bytes(data[12:16], "little")
-    header = json.loads(data[16:16 + hlen])
-    mutate(header)
+    header = transform(json.loads(data[16:16 + hlen]))
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + hlen:])
+
+
+def rewrite_header(path, mutate):
+    """Re-emit the file with a tampered (but length-consistent) header."""
+    def mutated(header):
+        mutate(header)
+        return header
+    replace_header(path, mutated)
 
 
 @pytest.fixture
@@ -257,6 +267,88 @@ def test_missing_optimizer_arrays_fail(saved):
     rewrite_header(path, lambda h: h["optimizer_manifest"].pop(0))
     with pytest.raises(IntegrityError, match="optimizer"):
         ck.load_checkpoint(path)
+
+
+def _first_entry(**fields):
+    def transform(header):
+        header["manifest"][0].update(fields)
+        return header
+    return transform
+
+
+# well-framed headers whose content is wrong in type or value
+STRUCTURED_FAULTS = {
+    "header-is-list": lambda h: [h],
+    "shape-is-string": _first_entry(shape="2x2"),
+    "offset-is-string": _first_entry(offset="0"),
+    "path-is-list": _first_entry(path=["embeddings", "token"]),
+    "negative-shape": _first_entry(shape=[-2, -1], nbytes=8),
+    "optimizer-manifest-is-object": lambda h: {**h, "optimizer_manifest": {"m": 1}},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURED_FAULTS))
+def test_malformed_header_content_is_integrity_error(saved, fault):
+    _, _, _, _, path, _ = saved
+    replace_header(path, STRUCTURED_FAULTS[fault])
+    with pytest.raises(IntegrityError, match=f"byte {ck._HEADER_START}"):
+        ck.load_checkpoint(path)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="no int digit limit in this interpreter")
+def test_overlong_number_in_header_is_integrity_error(saved):
+    _, _, _, _, path, _ = saved
+    data = path.read_bytes()
+    hlen = int.from_bytes(data[12:16], "little")
+    blob = data[16:16 + hlen].replace(
+        b'"step":7', b'"step":' + b"7" * (sys.get_int_max_str_digits() + 1))
+    path.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + hlen:])
+    with pytest.raises(IntegrityError, match="byte 16.*JSON"):
+        ck.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def clean_file(tmp_path_factory):
+    # one layer and 60 two-digit words keep the vocabulary a large share of
+    # the header's digits, where a swapped digit can duplicate a token
+    vocab = word_vocab(60)
+    config, params = tiny_model(vocab, n_layers=1)
+    path = tmp_path_factory.mktemp("fuzz") / "clean.ckpt"
+    ck.save_checkpoint(path, params=params, config=config, vocab=vocab, step=7,
+                       lineage=("a" * 64,),
+                       optimizer_state=fake_optimizer_state(params, ["embeddings.token"]))
+    return path
+
+
+@st.composite
+def damaged(draw, data: bytes):
+    """A truncation anywhere, or up to three byte replacements in the framing
+    and header (payload bytes are raw floats, any value of which loads). A
+    replacement is an arbitrary byte anywhere, or a digit swapped for another
+    digit, which keeps the header valid JSON and so reaches the content checks."""
+    if draw(st.booleans()):
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    header_end = 16 + int.from_bytes(data[12:16], "little")
+    digits = [i for i in range(16, header_end) if chr(data[i]).isdigit()]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            out[draw(st.sampled_from(digits))] = draw(st.sampled_from(b"0123456789"))
+        else:
+            out[draw(st.integers(0, header_end - 1))] = draw(st.integers(0, 255))
+    return bytes(out)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(choice=st.data())
+def test_damaged_file_loads_or_raises_integrity_error(clean_file, choice):
+    path = clean_file.with_name("damaged.ckpt")
+    path.write_bytes(choice.draw(damaged(clean_file.read_bytes())))
+    try:
+        ck.load_checkpoint(path)
+    except IntegrityError:
+        pass
 
 
 # -- vocabulary binding -----------------------------------------------------

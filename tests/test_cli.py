@@ -155,6 +155,17 @@ def test_missing_referenced_corpus_is_input_error(tmp_path, capsys):
     assert "absent.txt" in capsys.readouterr().err
 
 
+def test_latin1_corpus_is_input_error(tmp_path, capsys):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes("perché è così\n".encode("latin-1"))
+    cfg = save_config(tmp_path / "c.json", {
+        "tokenizer": {"corpus": str(corpus), "vocab_size": 40}})
+    rc = entrypoint(["vocab-train", "--config", cfg,
+                     "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "latin1.txt" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path):
     corpus = write_corpus(tmp_path / "c.txt")
     cfg = save_config(tmp_path / "c.json",
@@ -372,6 +383,22 @@ def test_finetune_baseline_delta(finetune_run, pipeline):
     payload = json.loads((out / "report.ner.json").read_text(encoding="utf-8"))
     assert payload["baseline_name"] == "model"
     assert payload["delta_pct"] is not None
+
+
+@pytest.mark.parametrize("content, code", [
+    ("caf\xe9".encode("latin-1"), 2),
+    (json.dumps({"task": "ner", "model": "m"}).encode("utf-8"), 6),
+], ids=["latin1", "no-runs"])
+def test_finetune_rejects_bad_baseline_report(finetune_run, pipeline, tmp_path,
+                                              content, code):
+    report = tmp_path / "baseline.json"
+    report.write_bytes(content)
+    cfg = json.loads(json.dumps(finetune_run["cfg"]))
+    cfg["finetune"]["baseline"] = {"ner": str(report)}
+    cfg_path = save_config(tmp_path / "ft.json", cfg)
+    assert entrypoint(["finetune", "--config", cfg_path,
+                       "--out", str(tmp_path / "out"),
+                       "--checkpoint", pipeline["adapted_ckpt"]]) == code
 
 
 def test_finetune_unknown_task_rejected(pipeline, tmp_path):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bertlab import finetune as ft
 from bertlab import mlmeval as ev
 from bertlab import model as md
 from bertlab import tokenizer as tk
@@ -294,3 +295,23 @@ def test_answer_mismatch_and_duplicate_id_listed(tmp_path):
 def test_missing_file_is_input_error(tmp_path):
     with pytest.raises(InputError):
         ev.load_masked_set(tmp_path / "nope.jsonl")
+
+
+def test_invalid_json_is_reported_at_its_physical_line(tmp_path):
+    path = tmp_path / "set.jsonl"
+    path.write_text("\n\nnot json\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="line 3"):
+        ev.load_masked_set(path)
+    with pytest.raises(ValidationError, match="line 3"):
+        ft.load_qa(path)
+
+
+@pytest.mark.parametrize("line, named", [
+    ("[1, 2]", "line 1"),
+    (json.dumps({"id": "r9", "text": "ab", "maskings": [5]}), "r9"),
+], ids=["record-is-list", "masking-is-number"])
+def test_non_object_records_are_validation_errors(tmp_path, line, named):
+    path = tmp_path / "set.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=named):
+        ev.load_masked_set(path)

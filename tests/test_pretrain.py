@@ -454,6 +454,8 @@ def test_metrics_log_reopen_rejects_corrupt_record(tmp_path, bad_line):
     path.write_text('{"step": 4, "mlm_loss": 1.0}\n' + bad_line + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="line 2"):
         pt.MetricsLog(path)
+    with pytest.raises(ValidationError, match="line 2"):
+        pt.load_metrics(path)
 
 
 # -- training loop ----------------------------------------------------------

@@ -172,6 +172,15 @@ def test_load_missing_file_is_input_error(tmp_path):
         tk.load_vocab(tmp_path / "absent.txt")
 
 
+@pytest.mark.parametrize("meta", ["{not json", "[1]"], ids=["not-json", "not-object"])
+def test_malformed_sidecar_is_input_error(tmp_path, vocab, meta):
+    path = tmp_path / "v.txt"
+    tk.save_vocab(vocab, path)
+    (tmp_path / "v.txt.meta").write_text(meta, encoding="utf-8")
+    with pytest.raises(InputError, match="vocabulary sidecar"):
+        tk.load_vocab(path)
+
+
 def test_pretokenize_spans_mirror_pretokenize():
     text = "  Dura-mater, sì!  x"
     spans = tk.pretokenize_spans(text)
