@@ -14,10 +14,12 @@ count, a tensor manifest {path, dtype, shape, offset, nbytes} sorted by path,
 and optionally the same for optimizer state. Identical model state serializes
 to identical bytes, so the checkpoint id — sha256 of the file — is a content
 hash. Reads are bounded: every allocation is validated against the actual
-file size before it happens. Writes go to a temp file renamed into place.
+file size before it happens, and every stored base-model tensor must have the
+shape the stored config needs. Writes go to a temp file renamed into place.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import model as md
 from .autodiff import Tensor
-from .errors import ConfigurationError, IntegrityError, ValidationError
+from .errors import ConfigurationError, IntegrityError, ValidationError, write_atomic
 from .tokenizer import Vocabulary
 
 MAGIC = b"BLCKPT01"
@@ -45,7 +47,6 @@ class Checkpoint:
     step: int
     optimizer_state: dict
     checkpoint_id: str
-    path: str
 
     @property
     def fingerprint(self):
@@ -103,19 +104,19 @@ def save_checkpoint(path, *, params: dict, config: md.ModelConfig,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    tmp = str(path) + ".tmp"
     digest = hashlib.sha256()
-    with open(tmp, "wb") as fh:
-        for chunk in (MAGIC, VERSION.to_bytes(4, "little"),
-                      len(blob).to_bytes(4, "little"), blob):
-            fh.write(chunk)
+
+    def chunks():
+        # one array at a time, so no whole-file buffer is ever built
+        arrays = (source[entry["path"]].astype(entry["dtype"], copy=False).tobytes()
+                  for entry, source in ([(e, tensors) for e in manifest]
+                                        + [(e, opt_arrays) for e in opt_manifest]))
+        for chunk in itertools.chain((MAGIC, VERSION.to_bytes(4, "little"),
+                                      len(blob).to_bytes(4, "little"), blob), arrays):
             digest.update(chunk)
-        for entry, source in ([(e, tensors) for e in manifest]
-                              + [(e, opt_arrays) for e in opt_manifest]):
-            raw = source[entry["path"]].astype(entry["dtype"], copy=False).tobytes()
-            fh.write(raw)
-            digest.update(raw)
-    os.replace(tmp, path)
+            yield chunk
+
+    write_atomic(path, chunks())
     return digest.hexdigest()
 
 
@@ -184,6 +185,12 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         _fail(_HEADER_START, f"invalid config record ({exc})")
     if vocab.fingerprint != header.get("vocab_fingerprint"):
         _fail(_HEADER_START, "stored fingerprint does not match stored tokens")
+    # a missing tensor still loads, so verify_lineage can report it
+    needed = md.param_shapes(config)
+    for p, tensor in params.items():
+        if p in needed and tensor.shape != needed[p]:
+            _fail(_HEADER_START, f"tensor {p} has shape {list(tensor.shape)} but the "
+                                 f"config needs {list(needed[p])}")
     if expect_vocab is not None and expect_vocab.fingerprint != vocab.fingerprint:
         raise ConfigurationError(
             "checkpoint was trained with a different vocabulary: "
@@ -206,7 +213,7 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
     return Checkpoint(params=params, config=config, vocab=vocab,
                       lineage=tuple(lineage), step=step,
                       optimizer_state=optimizer_state,
-                      checkpoint_id=file_sha256(path), path=str(path))
+                      checkpoint_id=file_sha256(path))
 
 
 def _is_count(x) -> bool:

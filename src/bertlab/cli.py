@@ -9,6 +9,7 @@ timestamps for the same reason.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,11 +22,8 @@ from . import mlmeval
 from . import model as md
 from . import pretrain as pt
 from . import tokenizer as tk
-from .errors import BertlabError, ConfigurationError, InputError, read_json
+from .errors import BertlabError, ConfigurationError, InputError, read_json, write_text
 from .seeding import substream
-
-COMMANDS = ("vocab-train", "pretrain", "adapt", "eval-mlm", "finetune",
-            "realign", "inspect")
 
 
 class RunLog:
@@ -116,14 +114,8 @@ def _out_dir(cfg: dict, command: str) -> str:
     return out
 
 
-def _snapshot(cfg: dict, out: str) -> None:
-    _write_json(os.path.join(out, "config.json"), cfg)
-
-
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def _clear(*paths) -> None:
@@ -220,22 +212,19 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     if command == "adapt":
         parent_path = _require_file(_require(cfg, "parent", "adapt"),
                                     "parent checkpoint")
-        init = ckpt.load_checkpoint(parent_path)
-        vocab = init.vocab
+        parent = ckpt.load_checkpoint(parent_path)
+        vocab = parent.vocab
         # adaptation warm-starts the weights only: a fresh schedule with the
         # parent's stale Adam moments would mis-apply bias correction
-        start_step = 0
-        optimizer_state = {}
+        init = dataclasses.replace(parent, step=0, optimizer_state={})
         log.line("command: adapt")
-        log.line(f"parent: {parent_path} id {init.checkpoint_id} "
-                 f"step {init.step} ancestors {len(init.lineage)}")
+        log.line(f"parent: {parent_path} id {parent.checkpoint_id} "
+                 f"step {parent.step} ancestors {len(parent.lineage)}")
     else:
         vocab = _load_vocab(cfg, "pretrain")
         config = _model_config(cfg, vocab)
         params = md.init_params(config, substream(plan.seed, "init"))
         init = pt.ModelState(config=config, params=params, vocab=vocab)
-        start_step = None
-        optimizer_state = None
         log.line("command: pretrain")
 
     log.line(f"seed: {plan.seed}")
@@ -254,9 +243,7 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     result = pt.run_pretraining(init, corpus, plan, vocab=vocab,
                                 replay_corpus=replay,
                                 metrics_path=metrics_path,
-                                checkpoint_path=checkpoint_path,
-                                start_step=start_step,
-                                optimizer_state=optimizer_state)
+                                checkpoint_path=checkpoint_path)
     for record in result.metrics[-1:]:
         log.line("final metrics: " +
                  " ".join(f"{k}={record[k]}" for k in pt.METRIC_FIELDS
@@ -298,10 +285,9 @@ def cmd_eval_mlm(cfg: dict, log: RunLog, out: str) -> int:
         log.line(f"MRR: {result.value:.4f} over {len(result.rankings)} items "
                  f"({len(result.excluded)} excluded)")
     _write_json(os.path.join(out, "report.json"), report)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        for key in ("PPPL", "MRR"):
-            if key in report:
-                fh.write(f"{key}\t{report[key]:.6f}\n")
+    write_text(os.path.join(out, "report.txt"),
+               "".join(f"{key}\t{report[key]:.6f}\n" for key in ("PPPL", "MRR")
+                       if key in report))
     log.line(f"report: {os.path.join(out, 'report.json')}")
     return 0
 
@@ -362,9 +348,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
         _write_json(os.path.join(out, f"report.{task}.json"),
                     result.report.to_dict())
         table = ft.report_table(result.report)
-        with open(os.path.join(out, f"report.{task}.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(table)
+        write_text(os.path.join(out, f"report.{task}.txt"), table)
         for line in table.rstrip("\n").split("\n"):
             log.line(line)
         log.line(f"report: {os.path.join(out, f'report.{task}.json')}")
@@ -404,8 +388,7 @@ def cmd_realign(cfg: dict, log: RunLog, out: str) -> int:
     _write_json(os.path.join(out, "report.json"),
                 {split: r.to_dict() for split, r in reports.items()})
     table = dp.summary_table(reports)
-    with open(os.path.join(out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(table)
+    write_text(os.path.join(out, "report.txt"), table)
     for line in table.rstrip("\n").split("\n"):
         log.line(line)
     return 0
@@ -510,7 +493,7 @@ def run_command(argv) -> int:
         log = RunLog()
     else:
         out = _out_dir(cfg, args.command)
-        _snapshot(cfg, out)
+        _write_json(os.path.join(out, "config.json"), cfg)
         log = RunLog(os.path.join(out, "run.log"))
     try:
         return _DISPATCH[args.command](cfg, log, out)

@@ -97,15 +97,10 @@ class WordShuffleTranslator:
         for phrase in sorted(self.protected, key=len, reverse=True):
             if not phrase:
                 continue
-            start = 0
-            while True:
-                i = text.find(phrase, start)
-                if i < 0:
-                    break
+            for i in ft.occurrences(text, phrase):
                 end = i + len(phrase)
                 if not any(i < e and end > s for s, e in taken):
                     taken.append((i, end))
-                start = i + 1
         taken.sort()
         units, pos = [], 0
         for s, e in taken:

@@ -1,8 +1,9 @@
 """Exception hierarchy shared by all modules, with stable CLI exit codes, and
-the readers every input file goes through, so one place decides which typed
-error each fault of an input file becomes."""
+the readers every input file and the writers every artifact go through, so one
+place decides how each file is read and written."""
 
 import json
+import os
 
 
 class BertlabError(Exception):
@@ -101,3 +102,17 @@ def read_json_lines(path, what: str, problems: list) -> list:
         else:
             problems.append(f"line {n}: not a JSON object")
     return records
+
+
+def write_atomic(path, chunks) -> None:
+    """Write the byte chunks to <path>.tmp, then rename it onto `path`: a write
+    that fails midway leaves `path` as it was, and a stale <path>.tmp."""
+    tmp = str(path) + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
+    os.replace(tmp, path)
+
+
+def write_text(path, text: str) -> None:
+    """write_atomic of UTF-8 text, encoded before the temp file is opened."""
+    write_atomic(path, [text.encode("utf-8")])

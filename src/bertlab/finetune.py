@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import model as md
 from .autodiff import Tensor
 from .errors import (ConfigurationError, InputError, ValidationError, read_json_lines,
-                     read_text)
+                     read_text, write_text)
 from .mitigation import llrd_factors
 # adam_step stays importable from here: perfbench traces and tests that binding
 from .pretrain import (IGNORE_INDEX, ModelState, _resolve_init, adam_step,  # noqa: F401
@@ -40,6 +40,13 @@ TASKS = ("ner", "qa", "re")
 
 def _valid_bio(tag: str) -> bool:
     return tag == "O" or (tag[:2] in ("B-", "I-") and len(tag) > 2)
+
+
+def _require_strings(example, *names) -> None:
+    """Records come from JSON, where any field may hold any type."""
+    bad = [n for n in names if not isinstance(getattr(example, n), str)]
+    if bad:
+        raise ValidationError(f"{example.uid!r}: {', '.join(bad)} must be a string")
 
 
 @dataclass(frozen=True)
@@ -67,6 +74,7 @@ class NerExample:
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "tags", tuple(self.tags))
         object.__setattr__(self, "spans", tuple(self.spans))
+        _require_strings(self, "uid", *(("text",) if self.text is not None else ()))
         if not self.tokens or len(self.tokens) != len(self.tags):
             raise ValidationError(
                 f"{self.uid}: {len(self.tokens)} tokens vs {len(self.tags)} tags")
@@ -102,6 +110,7 @@ class QaExample:
 
     def __post_init__(self):
         object.__setattr__(self, "answers", tuple(self.answers))
+        _require_strings(self, "uid", "question", "context")
         if not self.question.strip() or not self.context.strip():
             raise ValidationError(f"{self.uid}: empty question or context")
         if not self.answers:
@@ -123,6 +132,7 @@ class ReExample:
     relation: str
 
     def __post_init__(self):
+        _require_strings(self, "uid", "text", "relation")
         if not self.text.strip():
             raise ValidationError(f"{self.uid}: empty text")
 
@@ -268,19 +278,17 @@ def _ner_text_from_tokens(tokens, tags):
 
 
 def save_ner(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, ex in enumerate(examples):
-            if i:
-                fh.write("\n")
-            for token, tag in zip(ex.tokens, ex.tags):
-                fh.write(f"{token}\t{tag}\n")
-    with open(str(path) + ".spans", "w", encoding="utf-8") as fh:
-        for ex in examples:
-            text = ex.text if ex.text is not None else " ".join(ex.tokens)
-            fh.write(json.dumps(
-                {"id": ex.uid, "text": text,
-                 "spans": [{"start": s.start, "end": s.end, "label": s.label}
-                           for s in ex.spans]}, ensure_ascii=False) + "\n")
+    write_text(path, "\n".join("".join(f"{token}\t{tag}\n"
+                                       for token, tag in zip(ex.tokens, ex.tags))
+                               for ex in examples))
+    _save_jsonl(str(path) + ".spans", (
+        {"id": ex.uid, "text": ex.text if ex.text is not None else " ".join(ex.tokens),
+         "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in ex.spans]}
+        for ex in examples))
+
+
+def _save_jsonl(path, records) -> None:
+    write_text(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
 
 
 def _load_jsonl_records(path, what, build):
@@ -310,12 +318,9 @@ def load_qa(path):
 
 
 def save_qa(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(
-                {"id": ex.uid, "question": ex.question, "context": ex.context,
-                 "answers": [{"text": a.text, "answer_start": a.answer_start}
-                             for a in ex.answers]}, ensure_ascii=False) + "\n")
+    _save_jsonl(path, ({"id": ex.uid, "question": ex.question, "context": ex.context,
+                        "answers": [{"text": a.text, "answer_start": a.answer_start}
+                                    for a in ex.answers]} for ex in examples))
 
 
 def load_re(path):
@@ -325,10 +330,8 @@ def load_re(path):
 
 
 def save_re(examples, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps({"id": ex.uid, "text": ex.text,
-                                 "relation": ex.relation}, ensure_ascii=False) + "\n")
+    _save_jsonl(path, ({"id": ex.uid, "text": ex.text, "relation": ex.relation}
+                       for ex in examples))
 
 
 # ---------------------------------------------------------------------------

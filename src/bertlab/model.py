@@ -87,47 +87,53 @@ def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=rng)
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
-    """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases,
-    unit norm gains. Layer 0 is nearest the input."""
-    p = {}
+def param_shapes(config: ModelConfig) -> dict:
+    """{path: shape} of the base model (no task heads), in initialization
+    order. Layer 0 is nearest the input."""
+    h, v = config.hidden_dim, config.vocab_size
+    shapes = {"embeddings.token": (v, h),
+              "embeddings.position": (config.max_seq_len, h),
+              "embeddings.segment": (config.n_segment_types, h)}
 
-    def weight(path, shape):
-        p[path] = Tensor(_trunc_normal(rng, shape), requires_grad=True)
-
-    def zeros(path, shape):
-        p[path] = Tensor(np.zeros(shape), requires_grad=True)
+    def linear(prefix, n_in, n_out):
+        shapes[prefix + ".weight"] = (n_in, n_out)
+        shapes[prefix + ".bias"] = (n_out,)
 
     def norm(prefix):
-        p[prefix + ".gain"] = Tensor(np.ones(config.hidden_dim), requires_grad=True)
-        zeros(prefix + ".bias", config.hidden_dim)
+        shapes[prefix + ".gain"] = (h,)
+        shapes[prefix + ".bias"] = (h,)
 
-    h, f = config.hidden_dim, config.ff_dim
-    weight("embeddings.token", (config.vocab_size, h))
-    weight("embeddings.position", (config.max_seq_len, h))
-    weight("embeddings.segment", (config.n_segment_types, h))
     norm("embeddings.norm")
     for i in range(config.n_layers):
         base = f"encoder.{i}"
         for proj in ("q", "k", "v", "out"):
-            weight(f"{base}.attention.{proj}.weight", (h, h))
-            zeros(f"{base}.attention.{proj}.bias", h)
+            linear(f"{base}.attention.{proj}", h, h)
         norm(f"{base}.attention.norm")
-        weight(f"{base}.ffn.in.weight", (h, f))
-        zeros(f"{base}.ffn.in.bias", f)
-        weight(f"{base}.ffn.out.weight", (f, h))
-        zeros(f"{base}.ffn.out.bias", h)
+        linear(f"{base}.ffn.in", h, config.ff_dim)
+        linear(f"{base}.ffn.out", config.ff_dim, h)
         norm(f"{base}.ffn.norm")
-    weight("heads.mlm.transform.weight", (h, h))
-    zeros("heads.mlm.transform.bias", h)
+    linear("heads.mlm.transform", h, h)
     norm("heads.mlm.norm")
     if not config.tie_mlm_decoder:
-        weight("heads.mlm.decoder.weight", (h, config.vocab_size))
-    zeros("heads.mlm.decoder.bias", config.vocab_size)
-    weight("heads.pooler.weight", (h, h))
-    zeros("heads.pooler.bias", h)
-    weight("heads.nsp.weight", (h, 2))
-    zeros("heads.nsp.bias", 2)
+        shapes["heads.mlm.decoder.weight"] = (h, v)
+    shapes["heads.mlm.decoder.bias"] = (v,)
+    linear("heads.pooler", h, h)
+    linear("heads.nsp", h, 2)
+    return shapes
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
+    """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases,
+    unit norm gains, drawn in param_shapes order."""
+    p = {}
+    for path, shape in param_shapes(config).items():
+        if path.endswith(".gain"):
+            data = np.ones(shape)
+        elif path.endswith(".bias"):
+            data = np.zeros(shape)
+        else:
+            data = _trunc_normal(rng, shape)
+        p[path] = Tensor(data, requires_grad=True)
     return p
 
 

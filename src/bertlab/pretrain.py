@@ -20,7 +20,7 @@ from . import autodiff as ad
 from . import mlmeval
 from . import model as md
 from .errors import (ConfigurationError, InputError, NumericFault, ValidationError,
-                     read_json_lines, read_text)
+                     read_json_lines, read_text, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .seeding import substream
@@ -76,12 +76,8 @@ def load_corpus(path, provenance: str = "native") -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, doc in enumerate(corpus.documents):
-            if i:
-                fh.write("\n")
-            for sentence in doc:
-                fh.write(sentence + "\n")
+    write_text(path, "\n".join("".join(sentence + "\n" for sentence in doc)
+                               for doc in corpus.documents))
 
 
 def split_heldout(corpus: Corpus, fraction: float):
@@ -427,7 +423,6 @@ class PretrainResult:
     replay_steps: list            # 1-based steps that drew replay batches
     optimizer_state: dict
     final_step: int
-    checkpoint_path: str = None
     checkpoint_id: str = None
 
 
@@ -442,19 +437,18 @@ def pretrain_loss(params: dict, config: md.ModelConfig, batch: PretrainBatch,
     return ad.add(mlm, nsp), float(mlm.data), float(nsp.data)
 
 
-def _resolve_init(init, max_seq_len: int, optimizer_state=None, start_step=None):
+def _resolve_init(init, max_seq_len: int):
     """(state, optimizer state, start step, lineage) from a ModelState or a
     loaded checkpoint, after checking that the vocabulary fits the model and
     that the model has positions for max_seq_len."""
     if isinstance(init, ModelState):
-        state, opt, start, lineage = init, dict(optimizer_state or {}), start_step or 0, ()
+        state, opt, start, lineage = init, {}, 0, ()
     else:
         # duck-typed checkpoint from the persistence layer
         state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
-        opt = dict(optimizer_state if optimizer_state is not None
-                   else (init.optimizer_state or {}))
+        opt = dict(init.optimizer_state or {})
         lineage = tuple(init.lineage) + ((init.checkpoint_id,) if init.checkpoint_id else ())
-        start = start_step if start_step is not None else init.step
+        start = init.step
     config = state.config
     if len(state.vocab) != config.vocab_size:
         raise ConfigurationError(
@@ -467,16 +461,14 @@ def _resolve_init(init, max_seq_len: int, optimizer_state=None, start_step=None)
 
 def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary = None,
                     replay_corpus: Corpus = None, metrics_path=None,
-                    checkpoint_path=None, start_step: int = None,
-                    stop_step: int = None, optimizer_state: dict = None) -> PretrainResult:
+                    checkpoint_path=None, stop_step: int = None) -> PretrainResult:
     """Train from `init` (a ModelState or a loaded checkpoint) on `corpus`.
 
     The last heldout_fraction of documents never trains and feeds the periodic
     held-out pseudo-perplexity. Passing `vocab` asserts that the run's
     vocabulary matches init's; an adaptation chain must share one vocabulary.
     """
-    state, opt_state, start, lineage = _resolve_init(init, plan.max_seq_len,
-                                                     optimizer_state, start_step)
+    state, opt_state, start, lineage = _resolve_init(init, plan.max_seq_len)
     if vocab is not None and vocab.fingerprint != state.vocab.fingerprint:
         raise ConfigurationError(
             "vocabulary fingerprint mismatch: checkpoint "
@@ -537,7 +529,6 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
         result.checkpoint_id = ckpt.save_checkpoint(
             checkpoint_path, params=state.params, config=config, vocab=state.vocab,
             step=stop, lineage=lineage, optimizer_state=opt_state)
-        result.checkpoint_path = str(checkpoint_path)
     return result
 
 

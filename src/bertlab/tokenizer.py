@@ -17,7 +17,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import InputError, ValidationError, read_json, read_text
+from .errors import InputError, ValidationError, read_json, read_text, write_text
 
 SPECIAL_TOKENS = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]")
 PRETOKENIZER = "whitespace+punctuation-isolation"
@@ -291,18 +291,14 @@ def decode(seq, vocab: Vocabulary) -> str:
 
 def save_vocab(vocab: Vocabulary, path) -> None:
     path = str(path)
-    with open(path, "w", encoding="utf-8") as fh:
-        for tok in vocab.tokens:
-            fh.write(tok + "\n")
+    write_text(path, "".join(tok + "\n" for tok in vocab.tokens))
     meta = {
         "specials": vocab.specials,
         "lowercase": vocab.lowercase,
         "pretokenizer": PRETOKENIZER,
         "fingerprint": vocab.fingerprint,
     }
-    with open(path + ".meta", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path + ".meta", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def load_vocab(path) -> Vocabulary:
@@ -310,7 +306,10 @@ def load_vocab(path) -> Vocabulary:
     tokens = read_text(path, "vocabulary file").split("\n")
     while tokens and tokens[-1] == "":
         tokens.pop()
-    # the sidecar is advisory; specials are recognizable by name
+    # the sidecar is optional; specials are recognizable by name
     meta = (read_json(path + ".meta", "vocabulary sidecar")
             if os.path.exists(path + ".meta") else {})
+    if "fingerprint" in meta and meta["fingerprint"] != fingerprint_tokens(tokens):
+        raise InputError(f"vocabulary file {path} does not match the fingerprint "
+                         f"its sidecar {path}.meta records")
     return Vocabulary.from_tokens(tokens, lowercase=bool(meta.get("lowercase", False)))

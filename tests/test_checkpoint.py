@@ -295,6 +295,15 @@ def test_malformed_header_content_is_integrity_error(saved, fault):
         ck.load_checkpoint(path)
 
 
+def test_config_contradicting_tensor_shapes_is_integrity_error(saved):
+    _, _, _, _, path, _ = saved
+    rewrite_header(path, lambda h: h["config"].update(hidden_dim=18))
+    # the manifest is sorted by path, so the first base tensor is the first named
+    with pytest.raises(IntegrityError, match=r"byte 16: tensor embeddings.norm.bias "
+                                             r"has shape \[16\] but the config needs \[18\]"):
+        ck.load_checkpoint(path)
+
+
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="no int digit limit in this interpreter")
 def test_overlong_number_in_header_is_integrity_error(saved):

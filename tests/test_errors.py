@@ -1,6 +1,9 @@
-"""The input readers: every loader of an outside file turns an unreadable or
-non-UTF-8 file into InputError through the same three helpers."""
+"""The input readers and the artifact writer: every loader of an outside file
+turns an unreadable or non-UTF-8 file into InputError through the same three
+helpers, and every artifact is written to a temp file renamed into place."""
 
+import ast
+import pathlib
 import sys
 
 import pytest
@@ -11,7 +14,7 @@ from bertlab import finetune as ft
 from bertlab import mlmeval as ev
 from bertlab import pretrain as pt
 from bertlab import tokenizer as tk
-from bertlab.errors import InputError, ValidationError
+from bertlab.errors import InputError, ValidationError, write_atomic
 
 LATIN1 = b"caf\xe9\n"   # "café" saved as Latin-1: not UTF-8
 # json.loads raises a plain ValueError for an int longer than this many digits
@@ -63,3 +66,72 @@ def test_overlong_number_is_a_parse_fault(tmp_path):
         cli.load_run_config(path)
     with pytest.raises(ValidationError, match="line 1: invalid JSON"):
         ev.load_masked_set(path)
+
+
+# the only functions under src/bertlab/ that may open a file: the two
+# helpers every read and write goes through, the checkpoint reader and
+# hasher, and the two append-only logs
+OPEN_ALLOWED = {("errors", "read_text"), ("errors", "write_atomic"),
+                ("checkpoint", "load_checkpoint"), ("checkpoint", "file_sha256"),
+                ("cli", "RunLog.__init__"), ("pretrain", "MetricsLog.__init__")}
+FILE_CALLS = ("open", "io.open", "os.open", "os.replace", "os.rename", "shutil.move")
+
+
+class _Calls(ast.NodeVisitor):
+    """(enclosing function's dotted name, called name) for every call."""
+
+    def __init__(self):
+        self.scope, self.calls = [], []
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
+
+    def visit_Call(self, node):
+        self.calls.append((".".join(self.scope), ast.unparse(node.func)))
+        self.generic_visit(node)
+
+
+def test_files_are_opened_and_renamed_only_by_the_allowed_functions():
+    package = pathlib.Path(cli.__file__).parent
+    found, wrong = set(), []
+    for source in sorted(package.glob("*.py")):
+        visitor = _Calls()
+        visitor.visit(ast.parse(source.read_text(encoding="utf-8")))
+        for scope, name in visitor.calls:
+            site = (source.stem, scope)
+            if name == "open" and site in OPEN_ALLOWED:
+                found.add(site)
+            elif name == "os.replace" and site == ("errors", "write_atomic"):
+                continue
+            elif name in FILE_CALLS or name.endswith((".open", ".write_text", ".write_bytes")):
+                wrong.append(f"{source.name}: {scope or '<module>'} calls {name}")
+    assert wrong == []
+    assert found == OPEN_ALLOWED
+
+
+def _save_re_with_lone_surrogate(path):
+    records = [ft.ReExample(uid=f"r{i}", text=f"new {i}", relation="a") for i in range(3)]
+    ft.save_re(records + [ft.ReExample(uid="bad", text="\ud800", relation="a")], path)
+
+
+def _write_chunks_then_fail(path):
+    def chunks():
+        yield b'{"id": "partial", "text": "new", "relation": "a"}\n'
+        raise OSError("device full")
+    write_atomic(path, chunks())
+
+
+@pytest.mark.parametrize("failing_save", [_save_re_with_lone_surrogate, _write_chunks_then_fail],
+                         ids=["unencodable-record", "fault-mid-stream"])
+def test_failed_save_leaves_previous_file_intact(tmp_path, failing_save):
+    path = tmp_path / "re.jsonl"
+    ft.save_re([ft.ReExample(uid="old", text="kept", relation="a")], path)
+    before = path.read_bytes()
+    with pytest.raises((UnicodeEncodeError, OSError)):
+        failing_save(path)
+    assert path.read_bytes() == before
+    assert [ex.uid for ex in ft.load_re(path)] == ["old"]

@@ -362,6 +362,25 @@ def test_ner_sidecar_count_mismatch(tmp_path):
         ft.load_ner(path)
 
 
+QA_RECORD = {"id": "a", "question": "q", "context": "ctx",
+             "answers": [{"text": "ctx", "answer_start": 0}]}
+
+
+@pytest.mark.parametrize("load, suffix, record, named", [
+    (ft.load_qa, "", {**QA_RECORD, "id": ["a"]}, "line 1: .*id must be a string"),
+    (ft.load_qa, "", {**QA_RECORD, "question": 7}, "line 1: .*question must be a string"),
+    (ft.load_re, "", {"id": "r", "text": 5, "relation": "a"}, "line 1: .*text must be a string"),
+    (ft.load_ner, ".spans", {"id": ["s"], "text": "x", "spans": []},
+     "sentence 0: .*id must be a string"),
+], ids=["qa-list-id", "qa-number-question", "re-number-text", "ner-sidecar-list-id"])
+def test_mistyped_record_fields_are_validation_errors(tmp_path, load, suffix, record, named):
+    path = tmp_path / "data"
+    path.write_text("x\tO\n", encoding="utf-8")   # the CoNLL file a sidecar belongs to
+    (tmp_path / ("data" + suffix)).write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=named):
+        load(path)
+
+
 def test_qa_round_trip(tmp_path):
     examples = (
         ft.QaExample(uid="q0", question="what drug", context="aspirin helps",

@@ -181,6 +181,15 @@ def test_malformed_sidecar_is_input_error(tmp_path, vocab, meta):
         tk.load_vocab(path)
 
 
+def test_vocab_disagreeing_with_sidecar_fingerprint_is_input_error(tmp_path, vocab):
+    path = tmp_path / "v.txt"
+    tk.save_vocab(vocab, path)
+    half = vocab.tokens[: len(vocab) // 2]
+    path.write_text("".join(tok + "\n" for tok in half), encoding="utf-8")
+    with pytest.raises(InputError, match="v.txt does not match the fingerprint"):
+        tk.load_vocab(path)
+
+
 def test_pretokenize_spans_mirror_pretokenize():
     text = "  Dura-mater, sì!  x"
     spans = tk.pretokenize_spans(text)
