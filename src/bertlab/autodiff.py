@@ -96,7 +96,8 @@ class Tensor:
                 raise DimensionError("backward", self.data.shape, grad.shape)
         _accumulate(self, grad)
         for node in reversed(_topo_order(self)):
-            if node._backward is not None:
+            # a node no gradient reached (a loss over zero targets) passes none on
+            if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
 
@@ -125,8 +126,13 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # adopt a copy of the first gradient: a copy, since add/sub hand one g
+        # to two parents; in t.data's layout, since a transposed g's strides
+        # would change the bits of the next matmul
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _node(data: np.ndarray, parents, backward_fn) -> Tensor:

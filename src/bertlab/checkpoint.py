@@ -29,7 +29,8 @@ import numpy as np
 
 from . import model as md
 from .autodiff import Tensor
-from .errors import ConfigurationError, IntegrityError, ValidationError, write_atomic
+from .errors import (ConfigurationError, IntegrityError, ValidationError, parse_json,
+                     write_atomic)
 from .tokenizer import Vocabulary
 
 MAGIC = b"BLCKPT01"
@@ -152,8 +153,9 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         if _HEADER_START + header_len > size:
             _fail(12, f"header length {header_len} exceeds file size {size}")
         try:
-            header = json.loads(_read_exact(fh, header_len, _HEADER_START, "header"))
-        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
+            header = parse_json(
+                _read_exact(fh, header_len, _HEADER_START, "header").decode("utf-8"))
+        except ValueError as exc:  # bad JSON, UTF-8 or surrogate, or an int past the digit limit
             _fail(_HEADER_START, f"header is not valid JSON ({exc})")
         if not isinstance(header, dict):
             _fail(_HEADER_START, "header is not a JSON object")

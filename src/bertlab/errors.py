@@ -71,13 +71,28 @@ def read_text(path, what: str) -> str:
         raise InputError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def parse_json(text: str):
+    """json.loads, also rejecting (with ValueError, as for bad syntax) a string
+    UTF-8 cannot encode: an escaped lone surrogate ("\\ud800") parses, but no
+    output file can hold it."""
+    value = json.loads(text)
+    if "\\u" in text:  # a surrogate can only come from an escape
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"unpaired surrogate {exc.object[exc.start:exc.end]!r} "
+                             f"is not text") from None
+    return value
+
+
 def read_json(path, what: str) -> dict:
     """The JSON object an input file holds; InputError when the file does
-    not parse as JSON or holds something other than an object."""
+    not parse as JSON, holds a string UTF-8 cannot encode, or holds something
+    other than an object."""
     text = read_text(path, what)
     try:
-        value = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        value = parse_json(text)
+    except ValueError as exc:  # syntax, an int past the digit limit, a surrogate
         raise InputError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise InputError(f"{what} {path} must hold a JSON object")
@@ -93,7 +108,7 @@ def read_json_lines(path, what: str, problems: list) -> list:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            record = parse_json(line)
         except ValueError as exc:  # as in read_json
             problems.append(f"line {n}: invalid JSON ({exc})")
             continue

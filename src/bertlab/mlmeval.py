@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .errors import InputError, NumericFault, ValidationError, read_json_lines
+from .errors import (ConfigurationError, InputError, NumericFault, ValidationError,
+                     read_json_lines)
 from .tokenizer import Vocabulary, encode, normalize
 
 EXCLUDED_NOT_SINGLE_TOKEN = "target_is_not_a_single_vocabulary_token"
@@ -38,6 +39,16 @@ class ModelScorer:
         input_ids = np.asarray(input_ids)
         attention_mask = np.asarray(attention_mask)
         positions = np.asarray(positions)
+        if input_ids.ndim != 2 or positions.shape != input_ids.shape[:1]:
+            raise ConfigurationError(
+                f"positions {positions.shape} must hold one entry per row of ids "
+                f"{input_ids.shape}")
+        if not np.issubdtype(positions.dtype, np.integer):
+            raise ConfigurationError(f"positions must be integers, got {positions.dtype}")
+        length = input_ids.shape[1]
+        outside = positions[(positions < 0) | (positions >= length)]
+        if outside.size:
+            raise ConfigurationError(f"position {int(outside[0])} outside [0, {length})")
         rows = []
         with ad.no_grad():
             for lo in range(0, len(input_ids), self.chunk_size):
@@ -46,8 +57,10 @@ class ModelScorer:
                 hidden = md.forward_encoder(
                     self.params, self.config, ids,
                     np.zeros_like(ids), attention_mask[lo:hi])
-                logits = md.mlm_logits(hidden, self.params, self.config).data
-                picked = logits[np.arange(len(ids)), positions[lo:hi]].astype(np.float64)
+                # the head decodes only the one scored row of each sequence
+                flat = np.arange(len(ids)) * length + positions[lo:hi]
+                logits = md.mlm_logits(md.gather_rows(hidden, flat), self.params, self.config)
+                picked = logits.data.astype(np.float64)
                 shifted = picked - picked.max(axis=-1, keepdims=True)
                 rows.append(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
         return np.concatenate(rows, axis=0)

@@ -221,8 +221,18 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
     return x
 
 
+def gather_rows(hidden: Tensor, rows) -> Tensor:
+    """(N, H): the rows of hidden (B, L, H) at flat indices b * L + l.
+
+    Heads that score a few positions run on these rows only; the backward
+    scatter-adds into hidden (it is an embedding lookup on the flattened
+    states)."""
+    b, length, h = hidden.shape
+    return ad.embedding_lookup(ad.reshape(hidden, (b * length, h)), rows)
+
+
 def mlm_logits(hidden: Tensor, params: dict, config: ModelConfig) -> Tensor:
-    """(B, L, V): transform -> gelu -> norm -> decode against the (tied) embedding."""
+    """(..., V): transform -> gelu -> norm -> decode against the (tied) embedding."""
     t = ad.gelu(_linear(hidden, params, "heads.mlm.transform"))
     t = _norm(t, params, "heads.mlm.norm", config.layer_norm_eps)
     if config.tie_mlm_decoder:

@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from . import mlmeval
 from . import model as md
-from .errors import (ConfigurationError, InputError, NumericFault, ValidationError,
-                     read_json_lines, read_text, write_text)
+from .errors import (ConfigurationError, DimensionError, InputError, NumericFault,
+                     ValidationError, read_json_lines, read_text, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .seeding import substream
@@ -431,8 +431,14 @@ def pretrain_loss(params: dict, config: md.ModelConfig, batch: PretrainBatch,
     """(total loss Tensor, mlm value, nsp value) for one batch."""
     hidden = md.forward_encoder(params, config, batch.input_ids, batch.segment_ids,
                                 batch.attention_mask, train=train, rng=rng)
-    mlm = ad.cross_entropy(md.mlm_logits(hidden, params, config), batch.mlm_targets,
-                           ignore_index=IGNORE_INDEX)
+    targets = np.asarray(batch.mlm_targets)
+    if targets.shape != hidden.shape[:-1]:
+        raise DimensionError("pretrain_loss-mlm_targets", hidden.shape[:-1], targets.shape)
+    # the MLM head runs only on the positions that carry a target
+    targets = targets.reshape(-1)
+    rows = np.flatnonzero(targets != IGNORE_INDEX)
+    mlm = ad.cross_entropy(md.mlm_logits(md.gather_rows(hidden, rows), params, config),
+                           targets[rows])
     nsp = ad.cross_entropy(md.nsp_logits(hidden, params), batch.nsp_labels)
     return ad.add(mlm, nsp), float(mlm.data), float(nsp.data)
 

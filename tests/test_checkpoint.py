@@ -284,6 +284,9 @@ STRUCTURED_FAULTS = {
     "path-is-list": _first_entry(path=["embeddings", "token"]),
     "negative-shape": _first_entry(shape=[-2, -1], nbytes=8),
     "optimizer-manifest-is-object": lambda h: {**h, "optimizer_manifest": {"m": 1}},
+    # json.dumps escapes it, so the header is valid JSON but not text
+    "vocab-token-is-lone-surrogate":
+        lambda h: {**h, "vocab_tokens": h["vocab_tokens"][:-1] + ["\ud800"]},
 }
 
 

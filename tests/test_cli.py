@@ -474,6 +474,18 @@ def test_realign_unknown_task(tmp_path):
                        "--out", str(tmp_path / "out")]) == 3
 
 
+def test_realign_rejects_lone_surrogate_at_load(tmp_path, capsys):
+    # a JSON escape that parses to a str no output file can hold
+    qa = tmp_path / "qa.jsonl"
+    qa.write_text('{"id": "q1", "question": "what \\ud800", "context": "an answer", '
+                  '"answers": [{"text": "answer", "answer_start": 3}]}\n', encoding="utf-8")
+    cfg = save_config(tmp_path / "ra.json", {
+        "realign": {"task": "qa", "translator": "identity", "data": str(qa)}})
+    out = tmp_path / "out"
+    assert entrypoint(["realign", "--config", cfg, "--out", str(out)]) == 6
+    assert "line 1: invalid JSON (unpaired surrogate '\\ud800'" in capsys.readouterr().err
+    assert not list(out.glob("*.realigned.*"))
+
 # ---------------------------------------------------------------------------
 # inspect
 # ---------------------------------------------------------------------------

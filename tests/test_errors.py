@@ -14,7 +14,8 @@ from bertlab import finetune as ft
 from bertlab import mlmeval as ev
 from bertlab import pretrain as pt
 from bertlab import tokenizer as tk
-from bertlab.errors import InputError, ValidationError, write_atomic
+from bertlab.errors import (InputError, ValidationError, read_json, read_json_lines,
+                            write_atomic)
 
 LATIN1 = b"caf\xe9\n"   # "café" saved as Latin-1: not UTF-8
 # json.loads raises a plain ValueError for an int longer than this many digits
@@ -56,6 +57,38 @@ def test_latin1_input_is_input_error(tmp_path, case):
     with pytest.raises(InputError, match="cannot read"):
         load(path)
 
+
+# a JSON escape of a lone surrogate parses to a str that UTF-8 cannot encode
+SURROGATE_LINES = ['{"id": "what \\ud800"}\n', '{"\\udfff": 1}\n',
+                   '{"a": ["ok", {"b": "x\\udc00y"}]}\n']
+# the READERS that parse JSON, and the error each gives
+JSON_READERS = {"run-config": InputError, "vocab-meta-sidecar": InputError,
+                "metrics-log": ValidationError, "load-metrics": ValidationError,
+                "ner-span-sidecar": ValidationError, "qa": ValidationError,
+                "re": ValidationError, "masked-set": ValidationError}
+
+
+@pytest.mark.parametrize("line", SURROGATE_LINES)
+@pytest.mark.parametrize("case", sorted(JSON_READERS))
+def test_lone_surrogate_escape_is_rejected(tmp_path, case, line):
+    prepare, suffix, load = READERS[case]
+    path = tmp_path / "input"
+    if prepare:
+        prepare(path)
+    (tmp_path / ("input" + suffix)).write_text(line, encoding="utf-8")
+    error = JSON_READERS[case]
+    match = "unpaired surrogate" if error is InputError else "line 1: .*unpaired surrogate"
+    with pytest.raises(error, match=match):
+        load(path)
+
+
+def test_escaped_surrogate_pair_is_text(tmp_path):
+    path = tmp_path / "input"
+    path.write_text('{"a": "\\ud83d\\ude00 \\u00e9"}\n', encoding="utf-8")
+    assert read_json(path, "input") == {"a": "\U0001f600 \u00e9"}
+    problems = []
+    assert read_json_lines(path, "input", problems) == [(1, {"a": "\U0001f600 \u00e9"})]
+    assert problems == []
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no int digit limit in this interpreter")

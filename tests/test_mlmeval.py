@@ -7,11 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from bertlab import autodiff as ad
 from bertlab import finetune as ft
 from bertlab import mlmeval as ev
 from bertlab import model as md
 from bertlab import tokenizer as tk
-from bertlab.errors import InputError, NumericFault, ValidationError
+from bertlab.errors import ConfigurationError, InputError, NumericFault, ValidationError
 from bertlab.seeding import substream
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h"]
@@ -127,6 +128,65 @@ def test_batched_matches_naive_on_real_model(vocab):
     slow = ev.pppl_naive(scorer, sents, vocab, config.max_seq_len)
     assert fast.value == pytest.approx(slow.value, rel=1e-6)
     assert fast.value >= 1.0
+
+
+def real_scorer(vocab, chunk_size=3):
+    config = md.ModelConfig(n_layers=2, hidden_dim=32, n_heads=4, ff_dim=16,
+                            max_seq_len=16, vocab_size=len(vocab), dropout_rate=0.0)
+    params = md.init_params(config, substream(11, "init"))
+    return ev.ModelScorer(params, config, chunk_size=chunk_size)
+
+
+def scored_rows(vocab, n=7, length=9):
+    rng = np.random.default_rng(5)
+    ids = rng.integers(len(tk.SPECIAL_TOKENS), len(vocab), size=(n, length))
+    positions = rng.integers(0, length, size=n)
+    ids[np.arange(n), positions] = vocab.mask_id
+    mask = np.ones_like(ids)
+    mask[0, -2:] = 0
+    return ids, mask, positions
+
+
+def test_model_scorer_rows_are_the_full_log_softmax_at_positions(vocab):
+    with ad.precision("float64"):
+        scorer = real_scorer(vocab)
+        assert scorer.params["embeddings.token"].dtype == np.float64
+        ids, mask, positions = scored_rows(vocab)
+        got = scorer(ids, mask, positions)
+        with ad.no_grad():
+            hidden = md.forward_encoder(scorer.params, scorer.config, ids,
+                                        np.zeros_like(ids), mask)
+            logits = md.mlm_logits(hidden, scorer.params, scorer.config).data
+    picked = logits[np.arange(len(ids)), positions]
+    shifted = picked - picked.max(axis=-1, keepdims=True)
+    expected = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    assert got.shape == (len(ids), len(vocab))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_model_scorer_decodes_one_row_per_sequence(vocab, monkeypatch):
+    scorer = real_scorer(vocab, chunk_size=3)
+    rows, full = [], md.mlm_logits
+
+    def counting(hidden, params, config):
+        rows.append(hidden.shape)
+        return full(hidden, params, config)
+    monkeypatch.setattr(md, "mlm_logits", counting)
+    scorer(*scored_rows(vocab, n=7))
+    assert rows == [(3, 32), (3, 32), (1, 32)]
+
+
+@pytest.mark.parametrize("case", ["2-d", "short", "long", "minus-one", "past-end",
+                                  "float"])
+def test_model_scorer_rejects_bad_positions(vocab, case):
+    scorer = real_scorer(vocab)
+    ids, mask, positions = scored_rows(vocab, n=4, length=9)
+    positions = {"2-d": positions[:, None], "short": positions[:3],
+                 "long": np.append(positions, 1), "minus-one": np.array([1, 2, -1, 3]),
+                 "past-end": np.array([1, 9, 2, 3]),
+                 "float": positions.astype(np.float64)}[case]
+    with pytest.raises(ConfigurationError, match="position"):
+        scorer(ids, mask, positions)
 
 
 # -- mean reciprocal rank ---------------------------------------------------

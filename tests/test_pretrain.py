@@ -4,16 +4,18 @@ values, the step-0 loss at ln(V)+ln 2, a real training-improvement run, and
 bit-identical resume from a checkpoint."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bertlab import autodiff as ad
 from bertlab import checkpoint as ck
 from bertlab import model as md
 from bertlab import pretrain as pt
 from bertlab.autodiff import Tensor
-from bertlab.errors import (ConfigurationError, InputError, NumericFault,
-                            ValidationError)
+from bertlab.errors import (ConfigurationError, DimensionError, InputError,
+                            NumericFault, ValidationError)
 from bertlab.mitigation import CFConfig
 from bertlab.seeding import substream
 from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, encode
@@ -456,6 +458,84 @@ def test_metrics_log_reopen_rejects_corrupt_record(tmp_path, bad_line):
         pt.MetricsLog(path)
     with pytest.raises(ValidationError, match="line 2"):
         pt.load_metrics(path)
+
+
+# -- MLM head on the scored positions only ---------------------------------
+
+
+def head_setup(tie=True, batch_size=4):
+    vocab = word_vocab(30)
+    state = tiny_state(vocab, seed=2, tie_mlm_decoder=tie)
+    stream = pt.BatchStream(word_corpus(vocab, n_docs=8, seed=2), vocab,
+                            quick_plan(batch_size=batch_size, seed=2))
+    return state, stream.batch(0)
+
+
+def full_head_loss(params, config, batch):
+    """The reference objective: the MLM head decodes every position."""
+    hidden = md.forward_encoder(params, config, batch.input_ids, batch.segment_ids,
+                                batch.attention_mask)
+    mlm = ad.cross_entropy(md.mlm_logits(hidden, params, config), batch.mlm_targets)
+    return ad.add(mlm, ad.cross_entropy(md.nsp_logits(hidden, params), batch.nsp_labels))
+
+
+def gradients(loss, params):
+    for t in params.values():
+        t.grad = None
+    loss.backward()
+    return {p: t.grad.copy() for p, t in params.items() if t.grad is not None}
+
+
+@pytest.mark.parametrize("tie", [True, False])
+def test_gathered_loss_and_gradients_equal_full_head(tie):
+    with ad.precision("float64"):
+        state, batch = head_setup(tie)
+        params, config = state.params, state.config
+        assert params["embeddings.token"].dtype == np.float64
+        assert 0 < (batch.mlm_targets != pt.IGNORE_INDEX).sum() < batch.mlm_targets.size
+        reference = full_head_loss(params, config, batch)
+        expected = gradients(reference, params)
+        loss = pt.pretrain_loss(params, config, batch)[0]
+        got = gradients(loss, params)
+    assert abs(float(loss.data) - float(reference.data)) < 1e-12
+    assert set(got) == set(expected) == set(params)
+    for path in expected:
+        np.testing.assert_allclose(got[path], expected[path], rtol=0, atol=1e-10,
+                                   err_msg=path)
+
+
+def test_batch_without_targets_scores_zero_and_backpropagates_nsp():
+    state, batch = head_setup()
+    empty = replace(batch, mlm_targets=np.full_like(batch.mlm_targets, pt.IGNORE_INDEX))
+    loss, mlm, nsp = pt.pretrain_loss(state.params, state.config, empty)
+    assert mlm == 0.0 and float(loss.data) == nsp > 0.0
+    grads = gradients(loss, state.params)
+    assert not any(p.startswith("heads.mlm.") for p in grads)
+    assert "heads.nsp.weight" in grads and "encoder.0.ffn.in.weight" in grads
+    assert all(np.isfinite(g).all() for g in grads.values())
+
+
+@pytest.mark.parametrize("shape", [lambda b, n: (b, n - 1), lambda b, n: (b * n,),
+                                   lambda b, n: (b, n, 1)],
+                         ids=["short-rows", "flat", "extra-axis"])
+def test_pretrain_loss_rejects_misshapen_targets(shape):
+    state, batch = head_setup()
+    targets = np.full(shape(*batch.input_ids.shape), 5, dtype=np.int64)
+    with pytest.raises(DimensionError, match="mlm_targets"):
+        pt.pretrain_loss(state.params, state.config, replace(batch, mlm_targets=targets))
+
+
+def test_mlm_head_decodes_only_the_target_rows(monkeypatch):
+    state, batch = head_setup(batch_size=8)
+    rows, full = [], md.mlm_logits
+
+    def counting(hidden, params, config):
+        rows.append(hidden.shape)
+        return full(hidden, params, config)
+    monkeypatch.setattr(md, "mlm_logits", counting)
+    pt.pretrain_loss(state.params, state.config, batch)
+    n_targets = int((batch.mlm_targets != pt.IGNORE_INDEX).sum())
+    assert rows == [(n_targets, state.config.hidden_dim)]
 
 
 # -- training loop ----------------------------------------------------------
