@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,21 +36,6 @@ MAGIC = b"BLCKPT01"
 VERSION = 1
 _HEADER_START = 16
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
-
-
-@dataclass
-class Checkpoint:
-    params: dict
-    config: md.ModelConfig
-    vocab: Vocabulary
-    lineage: tuple
-    step: int
-    optimizer_state: dict
-    checkpoint_id: str
-
-    @property
-    def fingerprint(self):
-        return self.vocab.fingerprint
 
 
 def _dtype_tag(arr: np.ndarray) -> str:
@@ -133,8 +117,9 @@ def _read_exact(fh, n: int, position: int, what: str) -> bytes:
     return data
 
 
-def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
-    """Parse and validate the container. `expect_vocab`, when given, must
+def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
+    """The saved ModelState, with the file's sha256 as its checkpoint id,
+    after parsing and validating the container. `expect_vocab`, when given, must
     match the stored vocabulary fingerprint — adaptation chains share one
     vocabulary, and a mismatch is a configuration error, not corruption."""
     try:
@@ -179,25 +164,6 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         params = {e["path"]: Tensor(read_array(e), requires_grad=True) for e in manifest}
         opt_arrays = {e["path"]: read_array(e) for e in opt_manifest}
 
-    try:
-        config = md.ModelConfig(**header["config"])
-        vocab = Vocabulary.from_tokens(header["vocab_tokens"],
-                                       lowercase=header.get("vocab_lowercase", False))
-    except (KeyError, TypeError, ConfigurationError, ValidationError) as exc:
-        _fail(_HEADER_START, f"invalid config record ({exc})")
-    if vocab.fingerprint != header.get("vocab_fingerprint"):
-        _fail(_HEADER_START, "stored fingerprint does not match stored tokens")
-    # a missing tensor still loads, so verify_lineage can report it
-    needed = md.param_shapes(config)
-    for p, tensor in params.items():
-        if p in needed and tensor.shape != needed[p]:
-            _fail(_HEADER_START, f"tensor {p} has shape {list(tensor.shape)} but the "
-                                 f"config needs {list(needed[p])}")
-    if expect_vocab is not None and expect_vocab.fingerprint != vocab.fingerprint:
-        raise ConfigurationError(
-            "checkpoint was trained with a different vocabulary: "
-            f"{vocab.fingerprint[:12]}… vs bound {expect_vocab.fingerprint[:12]}…")
-
     lineage, step = header.get("lineage", []), header.get("step", 0)
     opt_t = header.get("optimizer_t", {})
     if not (isinstance(lineage, list) and all(isinstance(c, str) for c in lineage)
@@ -212,10 +178,28 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> Checkpoint:
         except KeyError:
             _fail(_HEADER_START, f"optimizer section is missing arrays for {p}")
 
-    return Checkpoint(params=params, config=config, vocab=vocab,
-                      lineage=tuple(lineage), step=step,
-                      optimizer_state=optimizer_state,
-                      checkpoint_id=file_sha256(path))
+    try:
+        state = md.ModelState(
+            config=md.ModelConfig(**header["config"]), params=params,
+            vocab=Vocabulary.from_tokens(header["vocab_tokens"],
+                                         lowercase=header.get("vocab_lowercase", False)),
+            step=step, optimizer_state=optimizer_state, lineage=tuple(lineage),
+            checkpoint_id=file_sha256(path))
+    except (KeyError, TypeError, ConfigurationError, ValidationError) as exc:
+        _fail(_HEADER_START, f"invalid config record ({exc})")
+    if state.fingerprint != header.get("vocab_fingerprint"):
+        _fail(_HEADER_START, "stored fingerprint does not match stored tokens")
+    # a missing tensor still loads, so verify_lineage can report it
+    needed = md.param_shapes(state.config)
+    for p, tensor in params.items():
+        if p in needed and tensor.shape != needed[p]:
+            _fail(_HEADER_START, f"tensor {p} has shape {list(tensor.shape)} but the "
+                                 f"config needs {list(needed[p])}")
+    if expect_vocab is not None and expect_vocab.fingerprint != state.fingerprint:
+        raise ConfigurationError(
+            "checkpoint was trained with a different vocabulary: "
+            f"{state.fingerprint[:12]}… vs bound {expect_vocab.fingerprint[:12]}…")
+    return state
 
 
 def _is_count(x) -> bool:
@@ -261,7 +245,7 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def verify_lineage(child: Checkpoint, parent: Checkpoint) -> list:
+def verify_lineage(child: md.ModelState, parent: md.ModelState) -> list:
     """Empty list when the child can legitimately descend from the parent;
     otherwise one entry per differing field. Extra heads on the child are
     fine — task heads are additive."""

@@ -207,7 +207,7 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     plan, corpus_path, replay_path = _train_plan(section, section_name,
                                                  cfg.get("seed", 0), cf)
     corpus = pt.load_corpus(corpus_path)
-    replay = pt.load_corpus(replay_path, provenance="replay") if replay_path else None
+    replay = pt.load_corpus(replay_path) if replay_path else None
 
     if command == "adapt":
         parent_path = _require_file(_require(cfg, "parent", "adapt"),
@@ -293,6 +293,7 @@ def cmd_eval_mlm(cfg: dict, log: RunLog, out: str) -> int:
 
 
 _TASK_LOADERS = {"ner": ft.load_ner, "qa": ft.load_qa, "re": ft.load_re}
+_TASK_KEYS = {"data", "train", "dev", "test", "negative_label"}
 
 
 def _load_task_dataset(task: str, spec: dict, seed: int) -> ft.TaskDataset:
@@ -336,7 +337,11 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
     log.line(f"plan: lr={plan.lr} batch_size={plan.batch_size} epochs={plan.epochs} "
              f"llrd_decay={plan.llrd_decay} seeds={list(seeds)}")
     for task in sorted(tasks):
-        dataset = _load_task_dataset(task, dict(tasks[task]), cfg.get("seed", 0))
+        spec = _section(tasks, task)
+        unknown = set(spec) - _TASK_KEYS
+        if unknown:
+            raise ConfigurationError(f"unknown keys in tasks.{task}: {sorted(unknown)}")
+        dataset = _load_task_dataset(task, spec, cfg.get("seed", 0))
         baseline = None
         if task in baselines:
             baseline_path = _require_file(baselines[task], f"{task} baseline report")

@@ -175,7 +175,7 @@ def make_translator(name: str, **options):
         return DictionaryTranslator.from_file(options.pop("path"))
     try:
         return registry[name](**options)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: dict() of a non-mapping
         raise ConfigurationError(f"bad options for translator {name!r}: {exc}") from exc
 
 

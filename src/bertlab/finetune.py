@@ -24,7 +24,8 @@ from .errors import (ConfigurationError, InputError, ValidationError, read_json_
                      read_text, write_text)
 from .mitigation import llrd_factors
 # adam_step stays importable from here: perfbench traces and tests that binding
-from .pretrain import (IGNORE_INDEX, ModelState, _resolve_init, adam_step,  # noqa: F401
+from .model import ModelState
+from .pretrain import (IGNORE_INDEX, _resolve_init, adam_step,  # noqa: F401
                        pad_rows, train_step)
 from .seeding import substream
 from .tokenizer import (Vocabulary, _is_punct, encode, encode_with_offsets,
@@ -832,13 +833,13 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
                                  f"{dataset.task!r}")
     if not seeds:
         raise ConfigurationError("seed list is empty")
-    state, _, _, lineage = _resolve_init(init, plan.max_seq_len)
+    lineage = _resolve_init(init, plan.max_seq_len, start=0)
     check_label_coverage(dataset)
-    runner = _TaskRunner(dataset, state, plan)
+    runner = _TaskRunner(dataset, init, plan)
 
     runs, states, paths = [], [], []
     for seed in seeds:
-        run, seed_state = _finetune_one_seed(runner, state.params, plan, seed)
+        run, seed_state = _finetune_one_seed(runner, init.params, plan, seed)
         runs.append(run)
         states.append(seed_state)
         if checkpoint_dir is not None:
@@ -847,7 +848,7 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
             path = os.path.join(str(checkpoint_dir),
                                 f"{dataset.task}.seed{seed}.ckpt")
             ckpt.save_checkpoint(path, params=seed_state.params,
-                                 config=state.config, vocab=state.vocab,
+                                 config=init.config, vocab=init.vocab,
                                  lineage=lineage)
             paths.append(path)
     report = make_report(dataset.task, model_name, runs, baseline=baseline)

@@ -11,7 +11,7 @@ which underflows to an exactly-zero attention weight, so padding content
 cannot leak into real positions even at the bit level.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -19,6 +19,7 @@ from scipy.stats import truncnorm
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigurationError
+from .tokenizer import Vocabulary
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
@@ -64,6 +65,29 @@ class ModelConfig:
         kw = dict(TOY_CONFIG, vocab_size=vocab_size)
         kw.update(overrides)
         return cls(**kw)
+
+
+@dataclass
+class ModelState:
+    """A model and how far it has trained: parameters, config, vocabulary, the
+    step and Adam state reached, and the ancestor checkpoint ids, oldest
+    first. A loaded checkpoint is one that also carries its own id."""
+    config: ModelConfig
+    params: dict
+    vocab: Vocabulary
+    step: int = 0
+    optimizer_state: dict = field(default_factory=dict)
+    lineage: tuple = ()
+    checkpoint_id: str = None
+
+    def __post_init__(self):
+        if len(self.vocab) != self.config.vocab_size:
+            raise ConfigurationError(f"vocabulary size {len(self.vocab)} != "
+                                     f"model vocab_size {self.config.vocab_size}")
+
+    @property
+    def fingerprint(self):
+        return self.vocab.fingerprint
 
 
 def param_group(path: str):

@@ -23,6 +23,7 @@ from .errors import (ConfigurationError, DimensionError, InputError, NumericFaul
                      ValidationError, read_json_lines, read_text, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
+from .model import ModelState
 from .seeding import substream
 from .tokenizer import Vocabulary, encode
 
@@ -42,7 +43,6 @@ METRIC_FIELDS = ("step", "mlm_loss", "nsp_loss", "lr", "pppl_heldout")
 class Corpus:
     """Documents as ordered sentence tuples; order matters for NSP."""
     documents: tuple
-    provenance: str = "native"
 
     def __post_init__(self):
         object.__setattr__(self, "documents",
@@ -58,7 +58,7 @@ class Corpus:
         return sum(len(d) for d in self.documents)
 
 
-def load_corpus(path, provenance: str = "native") -> Corpus:
+def load_corpus(path) -> Corpus:
     """One sentence per line; a blank line closes the current document."""
     docs, current = [], []
     for line in read_text(path, "corpus").split("\n"):
@@ -72,7 +72,7 @@ def load_corpus(path, provenance: str = "native") -> Corpus:
         docs.append(tuple(current))
     if not docs:
         raise InputError(f"corpus {path} contains no documents")
-    return Corpus(documents=tuple(docs), provenance=provenance)
+    return Corpus(documents=tuple(docs))
 
 
 def save_corpus(corpus: Corpus, path) -> None:
@@ -85,11 +85,11 @@ def split_heldout(corpus: Corpus, fraction: float):
     at least one whenever a split is requested and possible."""
     n = len(corpus.documents)
     if fraction <= 0.0 or n < 2:
-        return corpus, Corpus(documents=(), provenance=corpus.provenance)
+        return corpus, Corpus(documents=())
     k = int(round(fraction * n))
     k = max(1, min(k, n - 1))
-    return (Corpus(documents=corpus.documents[: n - k], provenance=corpus.provenance),
-            Corpus(documents=corpus.documents[n - k:], provenance=corpus.provenance))
+    return (Corpus(documents=corpus.documents[: n - k]),
+            Corpus(documents=corpus.documents[n - k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +410,6 @@ def load_metrics(path) -> list:
 
 
 @dataclass
-class ModelState:
-    config: md.ModelConfig
-    params: dict
-    vocab: Vocabulary
-
-
-@dataclass
 class PretrainResult:
     state: ModelState
     metrics: list
@@ -443,38 +436,32 @@ def pretrain_loss(params: dict, config: md.ModelConfig, batch: PretrainBatch,
     return ad.add(mlm, nsp), float(mlm.data), float(nsp.data)
 
 
-def _resolve_init(init, max_seq_len: int):
-    """(state, optimizer state, start step, lineage) from a ModelState or a
-    loaded checkpoint, after checking that the vocabulary fits the model and
-    that the model has positions for max_seq_len."""
-    if isinstance(init, ModelState):
-        state, opt, start, lineage = init, {}, 0, ()
-    else:
-        # duck-typed checkpoint from the persistence layer
-        state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
-        opt = dict(init.optimizer_state or {})
-        lineage = tuple(init.lineage) + ((init.checkpoint_id,) if init.checkpoint_id else ())
-        start = init.step
-    config = state.config
-    if len(state.vocab) != config.vocab_size:
+def _resolve_init(init: ModelState, max_seq_len: int, start: int) -> tuple:
+    """The lineage of a run from `init` starting at `start`, after checking that
+    the model has positions for max_seq_len. Only a run from step 0 descends
+    from init; a resumed run keeps init's lineage, as if never interrupted."""
+    if max_seq_len > init.config.max_seq_len:
         raise ConfigurationError(
-            f"vocabulary size {len(state.vocab)} != model vocab_size {config.vocab_size}")
-    if max_seq_len > config.max_seq_len:
-        raise ConfigurationError(
-            f"plan max_seq_len {max_seq_len} exceeds model limit {config.max_seq_len}")
-    return state, opt, start, lineage
+            f"plan max_seq_len {max_seq_len} exceeds model limit {init.config.max_seq_len}")
+    if start or init.checkpoint_id is None:
+        return init.lineage
+    return init.lineage + (init.checkpoint_id,)
 
 
 def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary = None,
                     replay_corpus: Corpus = None, metrics_path=None,
                     checkpoint_path=None, stop_step: int = None) -> PretrainResult:
-    """Train from `init` (a ModelState or a loaded checkpoint) on `corpus`.
+    """Train the ModelState `init` on `corpus` from its step, with a copy of
+    its optimizer state.
 
     The last heldout_fraction of documents never trains and feeds the periodic
     held-out pseudo-perplexity. Passing `vocab` asserts that the run's
     vocabulary matches init's; an adaptation chain must share one vocabulary.
     """
-    state, opt_state, start, lineage = _resolve_init(init, plan.max_seq_len)
+    start = init.step
+    lineage = _resolve_init(init, plan.max_seq_len, start)
+    state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
+    opt_state = {p: dict(slot) for p, slot in init.optimizer_state.items()}
     if vocab is not None and vocab.fingerprint != state.vocab.fingerprint:
         raise ConfigurationError(
             "vocabulary fingerprint mismatch: checkpoint "

@@ -16,7 +16,7 @@ from bertlab import model as md
 from bertlab.autodiff import Tensor
 from bertlab.errors import ConfigurationError, IntegrityError
 from bertlab.seeding import substream
-from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary
+from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, fingerprint_tokens
 
 
 def word_vocab(n_words: int) -> Vocabulary:
@@ -276,6 +276,12 @@ def _first_entry(**fields):
     return transform
 
 
+def _one_more_token(header):
+    # the fingerprint is recomputed, so only the token count contradicts the config
+    tokens = header["vocab_tokens"] + ["w99"]
+    return {**header, "vocab_tokens": tokens, "vocab_fingerprint": fingerprint_tokens(tokens)}
+
+
 # well-framed headers whose content is wrong in type or value
 STRUCTURED_FAULTS = {
     "header-is-list": lambda h: [h],
@@ -287,6 +293,7 @@ STRUCTURED_FAULTS = {
     # json.dumps escapes it, so the header is valid JSON but not text
     "vocab-token-is-lone-surrogate":
         lambda h: {**h, "vocab_tokens": h["vocab_tokens"][:-1] + ["\ud800"]},
+    "vocab-longer-than-vocab-size": _one_more_token,
 }
 
 

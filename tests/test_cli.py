@@ -410,6 +410,16 @@ def test_finetune_unknown_task_rejected(pipeline, tmp_path):
                        "--checkpoint", pipeline["adapted_ckpt"]]) == 3
 
 
+def test_finetune_unknown_task_key_rejected(pipeline, tmp_path, capsys):
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["tasks"] = {"ner": {"data": "x", "fractions": [0.8, 0.1, 0.1]}}
+    cfg_path = save_config(tmp_path / "bad.json", cfg)
+    assert entrypoint(["finetune", "--config", cfg_path,
+                       "--out", str(tmp_path / "out"),
+                       "--checkpoint", pipeline["adapted_ckpt"]]) == 3
+    assert "fractions" in capsys.readouterr().err
+
+
 def test_finetune_requires_tasks_section(pipeline, tmp_path):
     assert entrypoint(["finetune", "--config", pipeline["cfg_path"],
                        "--out", str(tmp_path / "out"),

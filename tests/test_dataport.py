@@ -49,6 +49,8 @@ def test_make_translator_unknown():
         dp.make_translator("google_nmt")
     with pytest.raises(ConfigurationError, match="bad options"):
         dp.make_translator("identity", beam_width=5)
+    with pytest.raises(ConfigurationError, match="bad options"):
+        dp.make_translator("dictionary", mapping="data/lexicon.json")
 
 
 def test_dictionary_longest_match_first():

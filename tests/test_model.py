@@ -9,6 +9,7 @@ from bertlab import model as md
 from bertlab.autodiff import Tensor
 from bertlab.errors import ConfigurationError
 from bertlab.seeding import substream
+from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary
 
 
 def small_config(**overrides):
@@ -236,3 +237,11 @@ def test_param_group_and_decay_classification():
     assert md.is_no_decay("encoder.0.attention.q.bias")
     assert md.is_no_decay("encoder.0.ffn.norm.gain")
     assert not md.is_no_decay("encoder.0.ffn.in.weight")
+
+
+def test_model_state_rejects_a_vocabulary_of_another_size():
+    config = small_config()
+    vocab = Vocabulary.from_tokens(list(SPECIAL_TOKENS) + [f"w{i}" for i in range(8)])
+    assert len(vocab) != config.vocab_size
+    with pytest.raises(ConfigurationError, match="vocabulary size"):
+        md.ModelState(config=config, params={}, vocab=vocab)

@@ -78,7 +78,7 @@ def test_corpus_file_round_trip(tmp_path):
     c = pt.Corpus(documents=(("one two", "three"), ("four",), ("five", "six")))
     path = tmp_path / "corpus.txt"
     pt.save_corpus(c, path)
-    loaded = pt.load_corpus(path, provenance="native")
+    loaded = pt.load_corpus(path)
     assert loaded.documents == c.documents
     # blank line separates documents on disk
     assert path.read_text(encoding="utf-8").count("\n\n") == 2
@@ -640,13 +640,15 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
     corpus = word_corpus(vocab)
     plan = quick_plan(total_steps=6, peak_lr=5e-3, seed=11)
 
-    straight = pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan)
+    straight = pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan,
+                                  checkpoint_path=tmp_path / "straight.ckpt")
 
     first = pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan,
                                stop_step=3, checkpoint_path=tmp_path / "mid.ckpt")
     assert first.final_step == 3
-    resumed = pt.run_pretraining(ck.load_checkpoint(tmp_path / "mid.ckpt"),
-                                 corpus, plan)
+    mid = ck.load_checkpoint(tmp_path / "mid.ckpt")
+    resumed = pt.run_pretraining(mid, corpus, plan,
+                                 checkpoint_path=tmp_path / "resumed.ckpt")
     assert resumed.final_step == 6
     assert [r["step"] for r in resumed.metrics] == [3, 4, 5]
     for path, t in straight.state.params.items():
@@ -655,6 +657,11 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
     for path, slot in straight.optimizer_state.items():
         np.testing.assert_array_equal(slot["m"], resumed.optimizer_state[path]["m"])
         assert slot["t"] == resumed.optimizer_state[path]["t"]
+    # the resume continues the run's lineage rather than descending from its
+    # own mid-run checkpoint, so it writes the uninterrupted run's file
+    assert resumed.checkpoint_id == straight.checkpoint_id
+    # and it trained a copy: the loaded state still holds step 3's moments
+    assert all(slot["t"] <= 3 for slot in mid.optimizer_state.values())
 
 
 def test_training_improves_heldout_mlm_loss():
