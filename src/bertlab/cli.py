@@ -324,8 +324,20 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
     if unknown:
         raise ConfigurationError(f"unknown tasks: {sorted(unknown)}")
     section = _section(cfg, "finetune")
-    seeds = tuple(section.pop("seeds", (1, 2, 3, 4, 5)))
-    baselines = section.pop("baseline", {}) or {}
+    seeds = section.pop("seeds", [1, 2, 3, 4, 5])
+    if (not isinstance(seeds, list) or not seeds
+            or not all(type(seed) is int for seed in seeds)):
+        raise ConfigurationError(
+            f"finetune.seeds must be a non-empty list of integers, got {seeds!r}")
+    seeds = tuple(seeds)
+    baselines = section.pop("baseline", None)
+    if baselines is None:
+        baselines = {}
+    if (not isinstance(baselines, dict) or not set(baselines) <= set(tasks)
+            or not all(isinstance(path, str) for path in baselines.values())):
+        raise ConfigurationError(
+            f"finetune.baseline must map configured task names to report "
+            f"paths, got {baselines!r}")
     model_name = section.pop("model_name", "model")
     unknown = set(section) - set(ft.FinetunePlan.__dataclass_fields__)
     if unknown:

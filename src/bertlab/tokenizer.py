@@ -5,11 +5,17 @@ checkpoints are cased), split on whitespace, and punctuation is isolated
 into single-character words before segmentation. Vocabulary training is
 greedy pair merging scored by likelihood gain
 count(pair) / (count(left) * count(right)); ties break by higher pair
-count, then by earliest first appearance. Encoding is longest-match-first
-with "##" continuation pieces and whole-word [UNK] fallback.
+count, then by earliest first appearance. Each merge pops the best pair
+from a max-heap, rewrites only the words that hold it, and re-keys only the
+live pairs that hold one of its two tokens or the new one: O(w + p log P)
+for w pieces in those words, p such pairs and P live pairs, where a scan of
+every live pair cost O(P). The vocabulary is the one that scan picks, token
+for token. Encoding is longest-match-first with "##" continuation pieces and
+whole-word [UNK] fallback.
 """
 
 import hashlib
+import heapq
 import json
 import os
 import re
@@ -134,60 +140,103 @@ def train_vocab(corpus, size: int, min_freq: int = 1, lowercase: bool = False) -
             f"{len(SPECIAL_TOKENS)} specials + {len(alphabet)} alphabet pieces")
     tokens = list(SPECIAL_TOKENS) + alphabet
 
-    # pair bookkeeping: counts, first-appearance serials, and which words hold a pair
+    # pair bookkeeping: counts, first-appearance serials (kept when a pair
+    # dies), a superset of the words that hold each live pair, and the live
+    # pairs each token sits in
     pair_counts = Counter()
     token_counts = Counter()
     first_seen = {}
     holders = {}
-    serial = 0
-
-    def scan_word(idx, sign):
-        nonlocal serial
-        pieces, freq = words[idx]
+    for idx, (pieces, freq) in enumerate(words):
         for p in pieces:
-            token_counts[p] += sign * freq
+            token_counts[p] += freq
         for pair in zip(pieces, pieces[1:]):
-            pair_counts[pair] += sign * freq
-            if sign > 0:
-                if pair not in first_seen:
-                    first_seen[pair] = serial
-                    serial += 1
-                holders.setdefault(pair, set()).add(idx)
+            pair_counts[pair] += freq
+            first_seen.setdefault(pair, len(first_seen))
+            holders.setdefault(pair, set()).add(idx)
+    by_token = {}
+    for pair in pair_counts:
+        by_token.setdefault(pair[0], set()).add(pair)
+        by_token.setdefault(pair[1], set()).add(pair)
 
-    for idx in range(len(words)):
-        scan_word(idx, +1)
+    # min-heap of (-score, -count, first_seen, pair); entry[pair] is the one
+    # entry of a live pair whose key is current, every other entry is stale
+    entry = {}
+
+    def fresh_entry(pair):
+        c = pair_counts[pair]
+        e = entry[pair] = (-(c / (token_counts[pair[0]] * token_counts[pair[1]])),
+                           -c, first_seen[pair], pair)
+        return e
+
+    heap = [fresh_entry(pair) for pair in pair_counts]
+    heapq.heapify(heap)
 
     while len(tokens) < size:
-        live = [(p, c) for p, c in pair_counts.items() if c > 0]
-        if not live:
+        while heap and entry.get(heap[0][3]) is not heap[0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best = max(
-            live,
-            key=lambda pc: (
-                pc[1] / (token_counts[pc[0][0]] * token_counts[pc[0][1]]),
-                pc[1],
-                -first_seen[pc[0]],
-            ),
-        )[0]
-        merged = _merge_spelling(*best)
+        best = heapq.heappop(heap)[3]
+        left, right = best
+        merged = _merge_spelling(left, right)
         tokens.append(merged)
-        for idx in sorted(holders.get(best, ())):
-            scan_word(idx, -1)
-            pieces = words[idx][0]
-            rebuilt = []
+        changed = set()
+        merged_freq = 0
+        for idx in sorted(holders[best]):
+            pieces, freq = words[idx]
+            n = len(pieces)
+            rebuilt, starts, placed = [], [], []
             i = 0
-            while i < len(pieces):
-                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
+            while i < n:
+                if i + 1 < n and pieces[i] == left and pieces[i + 1] == right:
+                    starts.append(i)
+                    placed.append(len(rebuilt))
                     rebuilt.append(merged)
                     i += 2
                 else:
                     rebuilt.append(pieces[i])
                     i += 1
-            words[idx] = (rebuilt, words[idx][1])
-            scan_word(idx, +1)
-        for pair in [p for p, c in pair_counts.items() if c <= 0]:
-            del pair_counts[pair]
-            holders.pop(pair, None)
+            if not starts:
+                continue
+            # only pairs touching a merge change: the old ones around each
+            # merged pair go, the new ones beside each merged token come
+            for k in {k for s in starts for k in (s - 1, s, s + 1) if 0 <= k < n - 1}:
+                pair = (pieces[k], pieces[k + 1])
+                pair_counts[pair] -= freq
+                changed.add(pair)
+            m = len(rebuilt)
+            for k in sorted({k for j in placed for k in (j - 1, j) if 0 <= k < m - 1}):
+                pair = (rebuilt[k], rebuilt[k + 1])
+                pair_counts[pair] += freq
+                changed.add(pair)
+                first_seen.setdefault(pair, len(first_seen))
+                holders.setdefault(pair, set()).add(idx)
+            words[idx] = (rebuilt, freq)
+            merged_freq += len(starts) * freq
+        token_counts[left] -= merged_freq
+        token_counts[right] -= merged_freq
+        token_counts[merged] += merged_freq
+
+        for pair in changed:
+            was_live = pair in entry
+            if pair_counts[pair] <= 0:
+                del pair_counts[pair], holders[pair]
+                if was_live:
+                    del entry[pair]
+                    by_token[pair[0]].discard(pair)
+                    by_token[pair[1]].discard(pair)
+            elif not was_live:
+                by_token.setdefault(pair[0], set()).add(pair)
+                by_token.setdefault(pair[1], set()).add(pair)
+        # a score rises when a token's count falls, so every live pair holding
+        # a recounted token gets a fresh entry; every recounted pair is among
+        # them, as each holds left or right (gone) or merged (new)
+        for pair in set().union(*(by_token.get(tok, ()) for tok in (left, right, merged))):
+            heapq.heappush(heap, fresh_entry(pair))
+        if len(heap) > 2 * len(entry):
+            heap = list(entry.values())
+            heapq.heapify(heap)
 
     return Vocabulary.from_tokens(tokens, lowercase=lowercase)
 

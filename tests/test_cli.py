@@ -401,6 +401,26 @@ def test_finetune_rejects_bad_baseline_report(finetune_run, pipeline, tmp_path,
                        "--checkpoint", pipeline["adapted_ckpt"]]) == code
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seeds", 5), ("seeds", "12"), ("seeds", []), ("seeds", [1, 2.0]),
+    ("seeds", [1, True]), ("seeds", [[1]]),
+    ("baseline", ["x"]), ("baseline", "ner"), ("baseline", 7),
+    ("baseline", {"ner": 5}), ("baseline", {"ner": ["a"]}),
+    ("baseline", {"qa": "report.json"}),
+], ids=["seeds-int", "seeds-string", "seeds-empty", "seeds-float", "seeds-bool",
+        "seeds-nested", "baseline-list", "baseline-string", "baseline-int",
+        "baseline-int-path", "baseline-list-path", "baseline-task-not-run"])
+def test_finetune_bad_seeds_or_baseline_is_configuration_error(
+        finetune_run, pipeline, tmp_path, capsys, key, value):
+    cfg = json.loads(json.dumps(finetune_run["cfg"]))
+    cfg["finetune"][key] = value
+    cfg_path = save_config(tmp_path / "ft.json", cfg)
+    assert entrypoint(["finetune", "--config", cfg_path,
+                       "--out", str(tmp_path / "out"),
+                       "--checkpoint", pipeline["adapted_ckpt"]]) == 3
+    assert f"finetune.{key}" in capsys.readouterr().err
+
+
 def test_finetune_unknown_task_rejected(pipeline, tmp_path):
     cfg = json.loads(json.dumps(pipeline["cfg"]))
     cfg["tasks"] = {"parsing": {"data": "x"}}

@@ -1,6 +1,11 @@
-"""Vocabulary induction (hand-run greedy merges), encode/decode, file I/O."""
+"""Vocabulary induction (hand-run greedy merges, the heap trainer against the
+scan oracle), encode/decode, file I/O."""
+
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertlab import tokenizer as tk
 from bertlab.errors import InputError, ValidationError
@@ -55,6 +60,153 @@ def test_vocabulary_invariants():
         tk.Vocabulary.from_tokens(list(tk.SPECIAL_TOKENS) + ["a", "a"])
     with pytest.raises(ValidationError):
         tk.Vocabulary.from_tokens(["[PAD]", "[UNK]", "a"])
+
+
+# -- the heap trainer against the scan it replaced ---------------------------
+
+
+def train_vocab_scan(corpus, size, min_freq=1, lowercase=False):
+    """Oracle: the trainer that rescans every live pair for the best merge.
+    Slow (merges x pairs) but plainly the definition of the merge order."""
+    word_freq = Counter()
+    for line in corpus:
+        word_freq.update(tk.pretokenize(tk.normalize(line, lowercase)))
+    words = [(list(tk._word_pieces(w)), f) for w, f in word_freq.items() if f >= min_freq]
+    if not words:
+        raise InputError("vocabulary training corpus is empty")
+
+    alphabet = sorted({p for pieces, _ in words for p in pieces})
+    if size < len(tk.SPECIAL_TOKENS) + len(alphabet):
+        raise InputError("vocabulary size too small")
+    tokens = list(tk.SPECIAL_TOKENS) + alphabet
+
+    pair_counts = Counter()
+    token_counts = Counter()
+    first_seen = {}
+    holders = {}
+    serial = 0
+
+    def scan_word(idx, sign):
+        nonlocal serial
+        pieces, freq = words[idx]
+        for p in pieces:
+            token_counts[p] += sign * freq
+        for pair in zip(pieces, pieces[1:]):
+            pair_counts[pair] += sign * freq
+            if sign > 0:
+                if pair not in first_seen:
+                    first_seen[pair] = serial
+                    serial += 1
+                holders.setdefault(pair, set()).add(idx)
+
+    for idx in range(len(words)):
+        scan_word(idx, +1)
+
+    while len(tokens) < size:
+        live = [(p, c) for p, c in pair_counts.items() if c > 0]
+        if not live:
+            break
+        best = max(
+            live,
+            key=lambda pc: (
+                pc[1] / (token_counts[pc[0][0]] * token_counts[pc[0][1]]),
+                pc[1],
+                -first_seen[pc[0]],
+            ),
+        )[0]
+        merged = tk._merge_spelling(*best)
+        tokens.append(merged)
+        for idx in sorted(holders.get(best, ())):
+            scan_word(idx, -1)
+            pieces = words[idx][0]
+            rebuilt = []
+            i = 0
+            while i < len(pieces):
+                if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == best:
+                    rebuilt.append(merged)
+                    i += 2
+                else:
+                    rebuilt.append(pieces[i])
+                    i += 1
+            words[idx] = (rebuilt, words[idx][1])
+            scan_word(idx, +1)
+        for pair in [p for p, c in pair_counts.items() if c <= 0]:
+            del pair_counts[pair]
+            holders.pop(pair, None)
+
+    return tk.Vocabulary.from_tokens(tokens, lowercase=lowercase)
+
+
+# a few word shapes over two or three letters, so words repeat and many pairs
+# tie on score and count; "A" only differs from "a" without lowercasing
+_WORD = st.text(alphabet="aAb.", min_size=1, max_size=6) | st.sampled_from(["ab", "ba", "aab"])
+
+
+@st.composite
+def training_runs(draw):
+    lines = draw(st.lists(st.lists(_WORD, max_size=5).map(" ".join), min_size=1, max_size=6))
+    min_freq = draw(st.integers(1, 3))
+    lowercase = draw(st.booleans())
+    word_freq = Counter(w for line in lines for w in tk.pretokenize(tk.normalize(line, lowercase)))
+    alphabet = {p for w, f in word_freq.items() if f >= min_freq for p in tk._word_pieces(w)}
+    # from the smallest legal size to well past the point where no pair is left
+    size = len(tk.SPECIAL_TOKENS) + len(alphabet) + draw(st.integers(0, 40))
+    return lines, size, min_freq, lowercase
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(run=training_runs())
+def test_heap_trainer_matches_scan_oracle(run):
+    lines, size, min_freq, lowercase = run
+    try:
+        expected = train_vocab_scan(lines, size, min_freq, lowercase)
+    except InputError:
+        with pytest.raises(InputError):
+            tk.train_vocab(lines, size, min_freq, lowercase)
+        return
+    got = tk.train_vocab(lines, size, min_freq, lowercase)
+    assert got.tokens == expected.tokens
+    assert got.lowercase == expected.lowercase
+
+
+def test_training_stops_when_no_pair_is_left():
+    # "ab ab b": one pair, so one merge, however large the size
+    for trainer in (tk.train_vocab, train_vocab_scan):
+        vocab = trainer(["ab ab b"], size=50)
+        assert vocab.tokens[5:] == ("##b", "a", "b", "ab")
+
+
+def _pair_keys(segmented, serial):
+    """(score, count, -first_seen) of every pair in [(pieces, freq), ...]."""
+    pairs, singles = Counter(), Counter()
+    for pieces, freq in segmented:
+        for p in pieces:
+            singles[p] += freq
+        for pair in zip(pieces, pieces[1:]):
+            pairs[pair] += freq
+            serial.setdefault(pair, len(serial))
+    return {pair: (c / (singles[pair[0]] * singles[pair[1]]), c, -serial[pair])
+            for pair, c in pairs.items()}
+
+
+def test_score_that_rises_after_a_merge_wins_the_next_merge():
+    # aaaa ac: merge 1 is (a, ##c), 1/(2*1); it halves count(a), so
+    # (a, ##a) rises from 1/(2*3) to 1/(1*3) and overtakes (##a, ##a) at 2/9,
+    # although the count of (a, ##a) itself never changed
+    vocab = tk.train_vocab(["aaaa ac"], size=10)
+    assert vocab.tokens == tuple(tk.SPECIAL_TOKENS) + ("##a", "##c", "a", "ac", "aa")
+    assert vocab.tokens == train_vocab_scan(["aaaa ac"], size=10).tokens
+
+    serial = {}
+    before = _pair_keys([(["a", "##a", "##a", "##a"], 1), (["a", "##c"], 1)], serial)
+    after = _pair_keys([(["a", "##a", "##a", "##a"], 1), (["ac"], 1)], serial)
+    assert max(before, key=before.get) == ("a", "##c")
+    assert max(after, key=after.get) == ("a", "##a")
+    # a heap that re-pushed only the pairs whose own count changed would still
+    # hold (a, ##a) at its old score and pop (##a, ##a) instead
+    unrefreshed = {p: before[p] if p in before and before[p][1] == k[1] else k
+                   for p, k in after.items()}
+    assert max(unrefreshed, key=unrefreshed.get) == ("##a", "##a")
 
 
 # -- encode / decode --------------------------------------------------------
