@@ -180,7 +180,7 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
 
     try:
         state = md.ModelState(
-            config=md.ModelConfig(**header["config"]), params=params,
+            config=md.ModelConfig.from_dict(header["config"], "config"), params=params,
             vocab=Vocabulary.from_tokens(header["vocab_tokens"],
                                          lowercase=header.get("vocab_lowercase", False)),
             step=step, optimizer_state=optimizer_state, lineage=tuple(lineage),

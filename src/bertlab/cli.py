@@ -22,7 +22,8 @@ from . import mlmeval
 from . import model as md
 from . import pretrain as pt
 from . import tokenizer as tk
-from .errors import BertlabError, ConfigurationError, InputError, read_json, write_text
+from .errors import (BertlabError, ConfigurationError, InputError, read_json, typed,
+                     write_text)
 from .seeding import substream
 
 
@@ -69,7 +70,7 @@ def resolve_config(args) -> dict:
         cfg["checkpoint"] = args.checkpoint
     if getattr(args, "parent", None):
         cfg["parent"] = args.parent
-    cfg.setdefault("seed", 0)
+    typed(cfg.setdefault("seed", 0), int, "seed")
     return cfg
 
 
@@ -98,14 +99,12 @@ def resolve_cf(raw) -> mit.CFConfig:
     explicit fields, never both."""
     if not raw:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigurationError("cf section must be an object")
-    if "preset" in raw:
+    if isinstance(raw, dict) and "preset" in raw:
         if len(raw) > 1:
             raise ConfigurationError(
                 "cf section mixes a preset with explicit settings; use one")
         return mit.preset(raw["preset"])
-    return mit.CFConfig.from_dict(raw)
+    return mit.CFConfig.from_dict(raw, "cf")
 
 
 def _out_dir(cfg: dict, command: str) -> str:
@@ -135,19 +134,13 @@ def _load_vocab(cfg: dict, command: str) -> tk.Vocabulary:
 
 
 def _model_config(cfg: dict, vocab: tk.Vocabulary) -> md.ModelConfig:
-    section = _section(cfg, "model")
-    unknown = set(section) - set(md.ModelConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(f"unknown model keys: {sorted(unknown)}")
-    if "vocab_size" in section and section["vocab_size"] != len(vocab):
+    config = md.ModelConfig.from_dict(
+        {"vocab_size": len(vocab), **_section(cfg, "model")}, "model")
+    if config.vocab_size != len(vocab):
         raise ConfigurationError(
-            f"model.vocab_size {section['vocab_size']} contradicts the bound "
+            f"model.vocab_size {config.vocab_size} contradicts the bound "
             f"vocabulary ({len(vocab)} tokens)")
-    section["vocab_size"] = len(vocab)
-    for key in ("n_layers", "hidden_dim", "n_heads", "ff_dim", "max_seq_len"):
-        if key not in section:
-            raise ConfigurationError(f"model section is missing {key!r}")
-    return md.ModelConfig(**section)
+    return config
 
 
 def _train_plan(section: dict, section_name: str, seed: int, cf: mit.CFConfig):
@@ -156,9 +149,8 @@ def _train_plan(section: dict, section_name: str, seed: int, cf: mit.CFConfig):
     replay_path = section.pop("replay_corpus", None)
     if not corpus_path:
         raise ConfigurationError(f"{section_name} section requires 'corpus'")
-    section["seed"] = seed
-    section["cf"] = cf.to_dict() if cf else {}
-    return (pt.TrainPlan.from_dict(section),
+    plan = pt.TrainPlan.from_dict({**section, "seed": seed}, section_name)
+    return (dataclasses.replace(plan, cf=cf),
             _require_file(corpus_path, "corpus"),
             _require_file(replay_path, "replay corpus") if replay_path else None)
 
@@ -166,8 +158,7 @@ def _train_plan(section: dict, section_name: str, seed: int, cf: mit.CFConfig):
 def _describe_cf(cf: mit.CFConfig) -> str:
     if cf is None:
         return "cf: none"
-    parts = [f"{k}={getattr(cf, k)}" for k in cf.__dataclass_fields__
-             if getattr(cf, k) is not None]
+    parts = [f"{k}={v}" for k, v in cf.to_dict().items() if v is not None]
     return "cf: " + (" ".join(parts) if parts else "all defaults")
 
 
@@ -180,12 +171,13 @@ def cmd_vocab_train(cfg: dict, log: RunLog, out: str) -> int:
     section = _section(cfg, "tokenizer")
     corpus_path = _require_file(_require(section, "corpus", "vocab-train"),
                                 "corpus")
-    size = _require(section, "vocab_size", "vocab-train")
+    size = typed(_require(section, "vocab_size", "vocab-train"), int,
+                 "tokenizer.vocab_size")
+    min_freq = typed(section.get("min_freq", 1), int, "tokenizer.min_freq")
+    lowercase = typed(section.get("lowercase", False), bool, "tokenizer.lowercase")
     corpus = pt.load_corpus(corpus_path)
     sentences = [s for doc in corpus.documents for s in doc]
-    vocab = tk.train_vocab(sentences, size,
-                           min_freq=section.get("min_freq", 1),
-                           lowercase=section.get("lowercase", False))
+    vocab = tk.train_vocab(sentences, size, min_freq=min_freq, lowercase=lowercase)
     vocab_path = os.path.join(out, "vocab.txt")
     tk.save_vocab(vocab, vocab_path)
     log.line("command: vocab-train")
@@ -205,7 +197,7 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     section = _section(cfg, section_name)
     cf = resolve_cf(section.pop("cf", None) or cfg.get("cf"))
     plan, corpus_path, replay_path = _train_plan(section, section_name,
-                                                 cfg.get("seed", 0), cf)
+                                                 cfg["seed"], cf)
     corpus = pt.load_corpus(corpus_path)
     replay = pt.load_corpus(replay_path) if replay_path else None
 
@@ -339,10 +331,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
             f"finetune.baseline must map configured task names to report "
             f"paths, got {baselines!r}")
     model_name = section.pop("model_name", "model")
-    unknown = set(section) - set(ft.FinetunePlan.__dataclass_fields__)
-    if unknown:
-        raise ConfigurationError(f"unknown finetune keys: {sorted(unknown)}")
-    plan = ft.FinetunePlan(**section)
+    plan = ft.FinetunePlan.from_dict(section, "finetune")
 
     log.line("command: finetune")
     log.line(f"checkpoint: {path} id {loaded.checkpoint_id} step {loaded.step}")
@@ -353,7 +342,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
         unknown = set(spec) - _TASK_KEYS
         if unknown:
             raise ConfigurationError(f"unknown keys in tasks.{task}: {sorted(unknown)}")
-        dataset = _load_task_dataset(task, spec, cfg.get("seed", 0))
+        dataset = _load_task_dataset(task, spec, cfg["seed"])
         baseline = None
         if task in baselines:
             baseline_path = _require_file(baselines[task], f"{task} baseline report")
@@ -378,7 +367,7 @@ def cmd_realign(cfg: dict, log: RunLog, out: str) -> int:
     if task not in _TASK_LOADERS:
         raise ConfigurationError(f"unknown realign task {task!r}")
     translator = dp.make_translator(_require(section, "translator", "realign"),
-                                    **(section.get("options") or {}))
+                                    **_section(section, "options"))
     log.line("command: realign")
     log.line(f"task: {task}")
     log.line(f"translator: {translator.name}")
@@ -395,7 +384,7 @@ def cmd_realign(cfg: dict, log: RunLog, out: str) -> int:
         reports["data"] = report
         log.line(f"wrote {len(kept)} of {report.total} examples -> {out_path}")
     else:
-        dataset = _load_task_dataset(task, section, cfg.get("seed", 0))
+        dataset = _load_task_dataset(task, section, cfg["seed"])
         translated, reports = dp.realign_dataset(dataset, translator)
         for split in ("train", "dev", "test"):
             out_path = os.path.join(out, f"{task}.{split}.{suffix}")

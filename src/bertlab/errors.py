@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules, with stable CLI exit codes, and
-the readers every input file and the writers every artifact go through, so one
-place decides how each file is read and written."""
+the readers every input file and config record and the writers every artifact
+go through, so one place decides how each input is read and written."""
 
+import dataclasses
 import json
 import os
 
@@ -131,3 +132,49 @@ def write_atomic(path, chunks) -> None:
 def write_text(path, text: str) -> None:
     """write_atomic of UTF-8 text, encoded before the temp file is opened."""
     write_atomic(path, [text.encode("utf-8")])
+
+
+# the JSON types each scalar field type takes; a bool is not a number
+FIELD_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+
+
+def typed(value, kind, where: str):
+    """`value`, unconverted, if its JSON type suits `kind` (int, float or
+    bool); ConfigurationError naming `where` if not."""
+    if type(value) not in FIELD_TYPES[kind]:
+        raise ConfigurationError(f"{where} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+class Record:
+    """Base of the dataclass config records and their one reader and writer.
+    A field is an int, float, bool or Record; None only where it is the default."""
+
+    def to_dict(self) -> dict:
+        return {f.name: v.to_dict() if isinstance(v := getattr(self, f.name), Record) else v
+                for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, raw, what: str = None):
+        """The record, its values unconverted; ConfigurationError naming the
+        section `what` and the key for a non-object, an unknown or missing key
+        or a mistyped value."""
+        what = what or cls.__name__
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{what} must be an object, got {raw!r}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(raw) - set(fields))
+        if unknown:
+            raise ConfigurationError(f"unknown {what} keys: {unknown}")
+        values = {}
+        for name, f in fields.items():
+            if name not in raw:
+                if f.default is dataclasses.MISSING:
+                    raise ConfigurationError(f"{what} is missing {name!r}")
+            elif raw[name] is None and f.default is None:
+                values[name] = None
+            elif issubclass(f.type, Record):
+                values[name] = f.type.from_dict(raw[name], f"{what}.{name}")
+            else:
+                values[name] = typed(raw[name], f.type, f"{what}.{name}")
+        return cls(**values)

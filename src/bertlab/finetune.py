@@ -20,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 from .autodiff import Tensor
-from .errors import (ConfigurationError, InputError, ValidationError, read_json_lines,
-                     read_text, write_text)
+from .errors import (ConfigurationError, InputError, Record, ValidationError,
+                     read_json_lines, read_text, write_text)
 from .mitigation import llrd_factors
 # adam_step stays importable from here: perfbench traces and tests that binding
 from .model import ModelState
@@ -561,7 +561,7 @@ def best_span(start_row: np.ndarray, end_row: np.ndarray, lo: int, hi: int,
 
 
 @dataclass(frozen=True)
-class FinetunePlan:
+class FinetunePlan(Record):
     lr: float = 3e-5
     batch_size: int = 16
     epochs: int = 10

@@ -15,11 +15,11 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 from .autodiff import Tensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Record
 
 
 @dataclass(frozen=True)
-class CFConfig:
+class CFConfig(Record):
     """Mitigation switches; None means off."""
     llrd_decay: float = None
     warmup_fraction: float = None
@@ -56,17 +56,6 @@ class CFConfig:
                 "unvalidated combination: mixout and replay were never used together "
                 "in the reference experiments")
         return reasons
-
-    def to_dict(self):
-        return {k: v for k in self.__dataclass_fields__
-                if (v := getattr(self, k)) is not None}
-
-    @classmethod
-    def from_dict(cls, d) -> "CFConfig":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(f"unknown CF config keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 # Validated technique combinations. OR is the adaptation run that continues

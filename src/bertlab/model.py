@@ -18,20 +18,16 @@ from scipy.stats import truncnorm
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError
+from .errors import ConfigurationError, Record
 from .tokenizer import Vocabulary
 
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
 MASK_BIAS = -1e9
 
-# the test-suite default: desk-scale CPU budget
-TOY_CONFIG = dict(n_layers=2, hidden_dim=64, n_heads=4, ff_dim=128,
-                  max_seq_len=128, vocab_size=0)
-
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(Record):
     n_layers: int
     hidden_dim: int
     n_heads: int
@@ -56,15 +52,6 @@ class ModelConfig:
     @property
     def head_dim(self):
         return self.hidden_dim // self.n_heads
-
-    def to_dict(self):
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def toy(cls, vocab_size: int, **overrides) -> "ModelConfig":
-        kw = dict(TOY_CONFIG, vocab_size=vocab_size)
-        kw.update(overrides)
-        return cls(**kw)
 
 
 @dataclass

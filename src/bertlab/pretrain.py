@@ -12,14 +12,14 @@ divisible by the replay frequency.
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import mlmeval
 from . import model as md
-from .errors import (ConfigurationError, DimensionError, InputError, NumericFault,
+from .errors import (ConfigurationError, DimensionError, InputError, NumericFault, Record,
                      ValidationError, read_json_lines, read_text, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
@@ -98,7 +98,7 @@ def split_heldout(corpus: Corpus, fraction: float):
 
 
 @dataclass(frozen=True)
-class TrainPlan:
+class TrainPlan(Record):
     peak_lr: float
     total_steps: int
     batch_size: int
@@ -145,23 +145,6 @@ class TrainPlan:
         if self.cf is not None and self.cf.warmup_fraction is not None:
             return self.cf.warmup_fraction
         return self.warmup_fraction
-
-    def to_dict(self):
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "cf"}
-        d["cf"] = self.cf.to_dict() if self.cf else {}
-        return d
-
-    @classmethod
-    def from_dict(cls, d) -> "TrainPlan":
-        d = dict(d)
-        cf = d.pop("cf", None)
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigurationError(f"unknown plan keys: {sorted(unknown)}")
-        plan = cls(**d)
-        if cf:
-            plan = replace(plan, cf=CFConfig.from_dict(cf))
-        return plan
 
 
 def lr_at(step: int, plan: TrainPlan) -> float:

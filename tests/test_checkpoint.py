@@ -294,6 +294,8 @@ STRUCTURED_FAULTS = {
     "vocab-token-is-lone-surrogate":
         lambda h: {**h, "vocab_tokens": h["vocab_tokens"][:-1] + ["\ud800"]},
     "vocab-longer-than-vocab-size": _one_more_token,
+    "hidden-dim-is-float":
+        lambda h: {**h, "config": {**h["config"], "hidden_dim": float(h["config"]["hidden_dim"])}},
 }
 
 

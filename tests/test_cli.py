@@ -204,6 +204,67 @@ def test_model_vocab_size_contradiction_rejected(pipeline, tmp_path):
                        "--out", str(tmp_path / "out")]) == 3
 
 
+ADAPT_SECTION = {"total_steps": 2, "batch_size": 4, "peak_lr": 1e-3, "max_seq_len": 32}
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("pretrain", "model", "hidden_dim", 16.0),
+    ("pretrain", "model", "n_heads", True),
+    ("pretrain", "model", "ff_dim", None),
+    ("pretrain", "model", "dropout_rate", "0.1"),
+    ("pretrain", "pretrain", "total_steps", "4"),
+    ("pretrain", "pretrain", "batch_size", 4.0),
+    ("pretrain", "pretrain", "batch_size", "missing"),
+    ("pretrain", "pretrain", "peak_lr", "1e-3"),
+    ("pretrain", "cf", "mixout_p", "0.9"),
+    ("pretrain", "cf", "freeze_layers", 1.0),
+    ("adapt", "adapt", "mask_only", 1),
+    ("adapt", "adapt", "whole_word_masking", "yes"),
+    ("finetune", "finetune", "epochs", "1"),
+    ("finetune", "finetune", "llrd_decay", False),
+], ids=lambda v: str(v))
+def test_mistyped_or_missing_section_value_is_configuration_error(
+        pipeline, tmp_path, capsys, command, section, key, value):
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["adapt"] = {"corpus": pipeline["corpus"], **ADAPT_SECTION}
+    cfg["cf"] = {}
+    cfg["tasks"] = {"ner": {"data": "absent.conll"}}
+    cfg["finetune"] = {"epochs": 1}
+    if value == "missing":
+        del cfg[section][key]
+    else:
+        cfg[section][key] = value
+    out = tmp_path / "out"
+    flags = {"adapt": ["--parent", pipeline["base_ckpt"]],
+             "finetune": ["--checkpoint", pipeline["adapted_ckpt"]]}.get(command, [])
+    assert entrypoint([command, "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out)] + flags) == 3
+    err = capsys.readouterr().err
+    assert (f"missing {key!r}" if value == "missing" else f"{section}.{key}") in err
+    assert (out / "run.log").read_text(encoding="utf-8") == ""   # failed before the run
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", "3"), ("seed", 3.0), ("seed", True),
+    ("tokenizer.vocab_size", "60"), ("tokenizer.vocab_size", 60.0),
+    ("tokenizer.min_freq", "2"), ("tokenizer.min_freq", True),
+    ("tokenizer.lowercase", "no"), ("tokenizer.lowercase", 0),
+], ids=lambda v: str(v))
+def test_mistyped_seed_or_tokenizer_value_is_configuration_error(tmp_path, capsys,
+                                                                 key, value):
+    corpus = write_corpus(tmp_path / "c.txt")
+    cfg = {"seed": 3, "tokenizer": {"corpus": corpus, "vocab_size": 60}}
+    if key == "seed":
+        cfg["seed"] = value
+    else:
+        cfg["tokenizer"][key.split(".")[1]] = value
+    out = tmp_path / "out"
+    assert entrypoint(["vocab-train", "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out)]) == 3
+    assert f"{key} must be" in capsys.readouterr().err
+    assert not (out / "vocab.txt").exists()
+
+
 def test_pretrain_without_trained_vocab_rejected(tmp_path):
     corpus = write_corpus(tmp_path / "c.txt")
     cfg = run_config(tmp_path, corpus)   # no tokenizer.vocab yet
@@ -491,10 +552,12 @@ def test_realign_splits(tmp_path):
 
 def test_realign_unknown_translator(tmp_path):
     ner = write_ner(tmp_path / "ner.conll")
-    cfg = save_config(tmp_path / "ra.json", {
-        "realign": {"task": "ner", "translator": "babelfish", "data": ner}})
-    assert entrypoint(["realign", "--config", cfg,
-                       "--out", str(tmp_path / "out")]) == 3
+    for settings in ({"translator": "babelfish"},
+                     {"translator": "identity", "options": ["x"]}):
+        cfg = save_config(tmp_path / "ra.json", {
+            "realign": {"task": "ner", "data": ner, **settings}})
+        assert entrypoint(["realign", "--config", cfg,
+                           "--out", str(tmp_path / "out")]) == 3
 
 
 def test_realign_unknown_task(tmp_path):

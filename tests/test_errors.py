@@ -3,6 +3,7 @@ turns an unreadable or non-UTF-8 file into InputError through the same three
 helpers, and every artifact is written to a temp file renamed into place."""
 
 import ast
+import dataclasses
 import pathlib
 import sys
 
@@ -11,11 +12,13 @@ import pytest
 from bertlab import cli
 from bertlab import dataport as dp
 from bertlab import finetune as ft
+from bertlab import mitigation as mit
 from bertlab import mlmeval as ev
+from bertlab import model as md
 from bertlab import pretrain as pt
 from bertlab import tokenizer as tk
-from bertlab.errors import (InputError, ValidationError, read_json, read_json_lines,
-                            write_atomic)
+from bertlab.errors import (FIELD_TYPES, ConfigurationError, InputError, Record,
+                            ValidationError, read_json, read_json_lines, write_atomic)
 
 LATIN1 = b"caf\xe9\n"   # "café" saved as Latin-1: not UTF-8
 # json.loads raises a plain ValueError for an int longer than this many digits
@@ -168,3 +171,49 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, failing_save):
         failing_save(path)
     assert path.read_bytes() == before
     assert [ex.uid for ex in ft.load_re(path)] == ["old"]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_field_has_a_type_from_dict_checks():
+    records = set(_subclasses(Record))
+    assert {md.ModelConfig, mit.CFConfig, pt.TrainPlan, ft.FinetunePlan} <= records
+    for record in records:
+        for f in dataclasses.fields(record):
+            assert f.type in FIELD_TYPES or (isinstance(f.type, type)
+                                             and issubclass(f.type, Record)), \
+                f"{record.__name__}.{f.name}: {f.type!r}"
+
+
+PLAN = {"peak_lr": 1e-3, "total_steps": 4, "batch_size": 2}
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([PLAN], "plan must be an object"),
+    ({"peak_lr": 1e-3, "total_steps": 4}, "plan is missing 'batch_size'"),
+    ({**PLAN, "total_steps": "4"}, "plan.total_steps must be int, got '4'"),
+    ({**PLAN, "total_steps": 4.0}, "plan.total_steps must be int, got 4.0"),
+    ({**PLAN, "batch_size": True}, "plan.batch_size must be int, got True"),
+    ({**PLAN, "peak_lr": False}, "plan.peak_lr must be float, got False"),
+    ({**PLAN, "mask_only": 1}, "plan.mask_only must be bool, got 1"),
+    ({**PLAN, "warmup_fraction": None}, "plan.warmup_fraction must be float, got None"),
+    ({**PLAN, "cf": ["x"]}, r"plan.cf must be an object, got \['x'\]"),
+    ({**PLAN, "cf": {"mixout_p": "0.9"}}, "plan.cf.mixout_p must be float, got '0.9'"),
+    ({**PLAN, "cf": {"llrd": 0.9}}, r"unknown plan.cf keys: \['llrd'\]"),
+], ids=["not-object", "missing", "int-as-string", "int-as-float", "int-as-bool",
+        "float-as-bool", "bool-as-int", "none-without-none-default", "nested-not-object",
+        "nested-mistyped", "nested-unknown"])
+def test_record_from_dict_rejects_with_section_and_key(raw, message):
+    with pytest.raises(ConfigurationError, match=message):
+        pt.TrainPlan.from_dict(raw, "plan")
+
+
+def test_record_values_pass_unconverted():
+    plan = pt.TrainPlan.from_dict({**PLAN, "peak_lr": 1, "cf": {"mixout_p": 0}}, "plan")
+    assert type(plan.peak_lr) is int and type(plan.cf.mixout_p) is int
+    assert plan.cf.llrd_decay is None
+    assert plan.to_dict()["cf"]["mixout_p"] == 0

@@ -93,6 +93,7 @@ def test_replay_every_one_warns():
 def test_cfconfig_round_trips_through_dict():
     cfg = mit.CFConfig(llrd_decay=0.95, replay_every=50)
     assert mit.CFConfig.from_dict(cfg.to_dict()) == cfg
+    assert mit.CFConfig.from_dict(mit.CFConfig().to_dict()) == mit.CFConfig()
     with pytest.raises(ConfigurationError):
         mit.CFConfig.from_dict({"llrd": 0.9})
 

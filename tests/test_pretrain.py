@@ -142,6 +142,7 @@ def test_plan_rejects_bad_values(overrides):
 def test_plan_dict_round_trip():
     plan = quick_plan(cf=CFConfig(llrd_decay=0.9, warmup_fraction=0.02))
     assert pt.TrainPlan.from_dict(plan.to_dict()) == plan
+    assert pt.TrainPlan.from_dict(quick_plan().to_dict()) == quick_plan()
     with pytest.raises(ConfigurationError):
         pt.TrainPlan.from_dict({**quick_plan().to_dict(), "bogus": 1})
 
