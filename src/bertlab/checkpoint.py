@@ -59,30 +59,30 @@ def _manifest_for(arrays: dict, offset: int):
     return manifest, offset
 
 
-def save_checkpoint(path, *, params: dict, config: md.ModelConfig,
-                    vocab: Vocabulary, step: int = 0, lineage=(),
-                    optimizer_state: dict = None) -> str:
-    """Write the container atomically; returns the checkpoint id."""
-    tensors = {p: np.ascontiguousarray(t.data) for p, t in params.items()}
+def save_checkpoint(path, state: md.ModelState) -> str:
+    """Write the state's params, config, vocabulary, step, lineage and
+    optimizer state atomically; returns the checkpoint id, which is what
+    load_checkpoint reports for the file. The state's own id is not read."""
+    tensors = {p: np.ascontiguousarray(t.data) for p, t in state.params.items()}
     manifest, offset = _manifest_for(tensors, 0)
 
     opt_arrays = {}
     opt_t = {}
-    if optimizer_state:
-        for p in sorted(optimizer_state):
-            slot = optimizer_state[p]
-            opt_arrays[f"m.{p}"] = np.ascontiguousarray(slot["m"])
-            opt_arrays[f"v.{p}"] = np.ascontiguousarray(slot["v"])
-            opt_t[p] = int(slot["t"])
+    for p in sorted(state.optimizer_state):
+        slot = state.optimizer_state[p]
+        opt_arrays[f"m.{p}"] = np.ascontiguousarray(slot["m"])
+        opt_arrays[f"v.{p}"] = np.ascontiguousarray(slot["v"])
+        opt_t[p] = int(slot["t"])
     opt_manifest, offset = _manifest_for(opt_arrays, offset)
 
+    vocab = state.vocab
     header = {
-        "config": config.to_dict(),
+        "config": state.config.to_dict(),
         "vocab_tokens": list(vocab.tokens),
         "vocab_lowercase": vocab.lowercase,
         "vocab_fingerprint": vocab.fingerprint,
-        "lineage": list(lineage),
-        "step": int(step),
+        "lineage": list(state.lineage),
+        "step": int(state.step),
         "manifest": manifest,
         "optimizer_manifest": opt_manifest,
         "optimizer_t": opt_t,

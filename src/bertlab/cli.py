@@ -95,9 +95,10 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def resolve_cf(raw) -> mit.CFConfig:
-    """Mitigation settings from a raw config value: a named preset or
-    explicit fields, never both."""
-    if not raw:
+    """Mitigation settings from a raw config value: None for no mitigation,
+    else an object holding a named preset or explicit fields, never both
+    ({} turns every technique off)."""
+    if raw is None:
         return None
     if isinstance(raw, dict) and "preset" in raw:
         if len(raw) > 1:
@@ -195,7 +196,8 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     section_name = ("adapt" if command == "adapt" and cfg.get("adapt")
                     else "pretrain")
     section = _section(cfg, section_name)
-    cf = resolve_cf(section.pop("cf", None) or cfg.get("cf"))
+    cf = section.pop("cf", None)
+    cf = resolve_cf(cfg.get("cf") if cf is None else cf)
     plan, corpus_path, replay_path = _train_plan(section, section_name,
                                                  cfg["seed"], cf)
     corpus = pt.load_corpus(corpus_path)
@@ -332,6 +334,12 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
             f"paths, got {baselines!r}")
     model_name = section.pop("model_name", "model")
     plan = ft.FinetunePlan.from_dict(section, "finetune")
+    # every baseline is read and checked before the first task trains
+    reports = {}
+    for task, report_path in sorted(baselines.items()):
+        what = f"{task} baseline report"
+        reports[task] = ft.TaskReport.from_dict(read_json(_require_file(report_path, what), what))
+        ft.check_baseline(reports[task], task)
 
     log.line("command: finetune")
     log.line(f"checkpoint: {path} id {loaded.checkpoint_id} step {loaded.step}")
@@ -343,13 +351,8 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
         if unknown:
             raise ConfigurationError(f"unknown keys in tasks.{task}: {sorted(unknown)}")
         dataset = _load_task_dataset(task, spec, cfg["seed"])
-        baseline = None
-        if task in baselines:
-            baseline_path = _require_file(baselines[task], f"{task} baseline report")
-            baseline = ft.TaskReport.from_dict(
-                read_json(baseline_path, f"{task} baseline report"))
         result = ft.finetune_task(loaded, dataset, plan, seeds=seeds,
-                                  model_name=model_name, baseline=baseline,
+                                  model_name=model_name, baseline=reports.get(task),
                                   checkpoint_dir=os.path.join(out, "checkpoints"))
         _write_json(os.path.join(out, f"report.{task}.json"),
                     result.report.to_dict())

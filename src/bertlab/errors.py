@@ -4,6 +4,7 @@ go through, so one place decides how each input is read and written."""
 
 import dataclasses
 import json
+import math
 import os
 
 
@@ -140,9 +141,12 @@ FIELD_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
 
 def typed(value, kind, where: str):
     """`value`, unconverted, if its JSON type suits `kind` (int, float or
-    bool); ConfigurationError naming `where` if not."""
+    bool) and, for a float, it is finite; ConfigurationError naming `where`
+    if not. Python's json parses NaN and Infinity."""
     if type(value) not in FIELD_TYPES[kind]:
         raise ConfigurationError(f"{where} must be {kind.__name__}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return value
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import checkpoint as ckpt
 from . import model as md
 from .autodiff import Tensor
 from .errors import (ConfigurationError, InputError, Record, ValidationError,
@@ -622,12 +623,49 @@ class TaskReport:
 
     @classmethod
     def from_dict(cls, d) -> "TaskReport":
+        """The report a to_dict record holds; ValidationError for a missing or
+        unknown field, a task or model that is not a string, or a score, count
+        or seed that is not a finite number."""
         try:
             runs = tuple(SeedRun(**r) for r in d["runs"])
-            return cls(**{**{k: v for k, v in d.items() if k != "runs"}, "runs": runs})
+            report = cls(**{**{k: v for k, v in d.items() if k != "runs"}, "runs": runs})
         except (KeyError, TypeError) as exc:
             raise ValidationError("not a task report",
                                   items=[f"{type(exc).__name__}: {exc}"]) from exc
+        problems = [f"{name} must be a string, got {getattr(report, name)!r}"
+                    for name in ("task", "model") if not isinstance(getattr(report, name), str)]
+        problems += _non_finite(report, ("mean_f1", "mean_precision", "mean_recall"),
+                                optional=("sd_f1", "delta_pct"))
+        for i, run in enumerate(runs):
+            problems += [f"runs[{i}].{item}" for item in _non_finite(
+                run, ("seed", "precision", "recall", "f1", "dev_f1", "best_epoch"))]
+        if problems:
+            raise ValidationError("not a task report", items=problems)
+        return report
+
+
+def _non_finite(record, names, optional=()) -> list:
+    """One line per named field that is not a finite int or float (a bool is
+    not a number); an `optional` field may also be None."""
+    problems = []
+    for name in (*names, *optional):
+        value = getattr(record, name)
+        if value is None and name in optional:
+            continue
+        if not (type(value) is int or type(value) is float and math.isfinite(value)):
+            problems.append(f"{name} must be a finite number, got {value!r}")
+    return problems
+
+
+def check_baseline(baseline: TaskReport, task: str) -> None:
+    """ConfigurationError unless `baseline` reports on `task` with a positive
+    mean F1, the value Δ% is relative to."""
+    if baseline.task != task:
+        raise ConfigurationError(
+            f"baseline report is for task {baseline.task!r}, not {task!r}")
+    if not baseline.mean_f1 > 0:
+        raise ConfigurationError(
+            f"baseline mean_f1 {baseline.mean_f1} must be positive: Δ% is relative to it")
 
 
 def mean_sd(values):
@@ -787,9 +825,10 @@ class _TaskRunner:
 
 def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePlan,
                        seed: int):
-    config, vocab = runner.config, runner.vocab
-    params = {p: Tensor(t.data.copy(), requires_grad=True)
-              for p, t in base_params.items()}
+    """(SeedRun, trained copy of base_params plus the task head at the
+    dev-best epoch)."""
+    config = runner.config
+    params = md.copy_params(base_params)
     md.add_task_head(params, config, runner.task, runner.head_width,
                      substream(seed, "head.init"))
     factors = llrd_factors(sorted(params), plan.llrd_decay, config.n_layers)
@@ -818,7 +857,7 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
     test = runner.evaluate(params, "test")
     run = SeedRun(seed=seed, precision=test.precision, recall=test.recall,
                   f1=test.f1, dev_f1=dev_f1, best_epoch=best_epoch)
-    return run, ModelState(config=config, params=params, vocab=vocab)
+    return run, params
 
 
 def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
@@ -833,23 +872,24 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
                                  f"{dataset.task!r}")
     if not seeds:
         raise ConfigurationError("seed list is empty")
+    if baseline is not None:
+        check_baseline(baseline, dataset.task)
     lineage = _resolve_init(init, plan.max_seq_len, start=0)
     check_label_coverage(dataset)
     runner = _TaskRunner(dataset, init, plan)
 
     runs, states, paths = [], [], []
     for seed in seeds:
-        run, seed_state = _finetune_one_seed(runner, init.params, plan, seed)
+        run, params = _finetune_one_seed(runner, init.params, plan, seed)
+        seed_state = ModelState(config=init.config, params=params, vocab=init.vocab,
+                                lineage=lineage)
         runs.append(run)
         states.append(seed_state)
         if checkpoint_dir is not None:
-            from . import checkpoint as ckpt
             os.makedirs(checkpoint_dir, exist_ok=True)
             path = os.path.join(str(checkpoint_dir),
                                 f"{dataset.task}.seed{seed}.ckpt")
-            ckpt.save_checkpoint(path, params=seed_state.params,
-                                 config=init.config, vocab=init.vocab,
-                                 lineage=lineage)
+            seed_state.checkpoint_id = ckpt.save_checkpoint(path, seed_state)
             paths.append(path)
     report = make_report(dataset.task, model_name, runs, baseline=baseline)
     return FinetuneResult(report=report, states=tuple(states),

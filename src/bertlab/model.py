@@ -58,7 +58,7 @@ class ModelConfig(Record):
 class ModelState:
     """A model and how far it has trained: parameters, config, vocabulary, the
     step and Adam state reached, and the ancestor checkpoint ids, oldest
-    first. A loaded checkpoint is one that also carries its own id."""
+    first. A saved or loaded state also carries its checkpoint's id."""
     config: ModelConfig
     params: dict
     vocab: Vocabulary
@@ -75,6 +75,12 @@ class ModelState:
     @property
     def fingerprint(self):
         return self.vocab.fingerprint
+
+
+def copy_params(params: dict) -> dict:
+    """Trainable copies of the parameter tensors: a run trains these and
+    leaves the state it was given as it was."""
+    return {p: Tensor(t.data.copy(), requires_grad=True) for p, t in params.items()}
 
 
 def param_group(path: str):

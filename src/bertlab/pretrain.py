@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import checkpoint as ckpt
 from . import mlmeval
 from . import model as md
 from .errors import (ConfigurationError, DimensionError, InputError, NumericFault, Record,
@@ -394,12 +395,17 @@ def load_metrics(path) -> list:
 
 @dataclass
 class PretrainResult:
-    state: ModelState
+    state: ModelState             # where the run stopped; its checkpoint loads as this
     metrics: list
     replay_steps: list            # 1-based steps that drew replay batches
-    optimizer_state: dict
-    final_step: int
-    checkpoint_id: str = None
+
+    @property
+    def final_step(self):
+        return self.state.step
+
+    @property
+    def checkpoint_id(self):
+        return self.state.checkpoint_id
 
 
 def pretrain_loss(params: dict, config: md.ModelConfig, batch: PretrainBatch,
@@ -434,8 +440,10 @@ def _resolve_init(init: ModelState, max_seq_len: int, start: int) -> tuple:
 def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary = None,
                     replay_corpus: Corpus = None, metrics_path=None,
                     checkpoint_path=None, stop_step: int = None) -> PretrainResult:
-    """Train the ModelState `init` on `corpus` from its step, with a copy of
-    its optimizer state.
+    """Train a copy of the ModelState `init` on `corpus` from its step, and
+    return the state where the run stopped: `init` is left as it was. With
+    `checkpoint_path`, that state is saved and carries the checkpoint's id, so
+    load_checkpoint(checkpoint_path) gives it back field for field.
 
     The last heldout_fraction of documents never trains and feeds the periodic
     held-out pseudo-perplexity. Passing `vocab` asserts that the run's
@@ -443,19 +451,21 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     """
     start = init.step
     lineage = _resolve_init(init, plan.max_seq_len, start)
-    state = ModelState(config=init.config, params=init.params, vocab=init.vocab)
-    opt_state = {p: dict(slot) for p, slot in init.optimizer_state.items()}
-    if vocab is not None and vocab.fingerprint != state.vocab.fingerprint:
+    if vocab is not None and vocab.fingerprint != init.fingerprint:
         raise ConfigurationError(
             "vocabulary fingerprint mismatch: checkpoint "
-            f"{state.vocab.fingerprint[:12]}… vs bound {vocab.fingerprint[:12]}…")
-    config = state.config
+            f"{init.fingerprint[:12]}… vs bound {vocab.fingerprint[:12]}…")
+    config = init.config
     cf = plan.cf or CFConfig()
     cf.validate(config.n_layers)
     stop = plan.total_steps if stop_step is None else stop_step
     if not 0 <= start <= stop <= plan.total_steps:
         raise ConfigurationError(
             f"step range [{start}, {stop}) outside plan of {plan.total_steps} steps")
+    state = ModelState(config=config, params=md.copy_params(init.params), vocab=init.vocab,
+                       step=start, lineage=lineage,
+                       optimizer_state={p: dict(slot)
+                                        for p, slot in init.optimizer_state.items()})
 
     train_corpus, heldout = split_heldout(corpus, plan.heldout_fraction)
     held_sentences = [s for doc in heldout.documents for s in doc][: plan.eval_sentences]
@@ -488,7 +498,8 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
             loss, mlm_value, nsp_value = pretrain_loss(
                 fparams, config, batch, train=True,
                 rng=substream(plan.seed, f"dropout.{step}"))
-            train_step(loss, state.params, opt_state, lr, plan, factors, frozen)
+            train_step(loss, state.params, state.optimizer_state, lr, plan, factors,
+                       frozen)
             pppl_value = None
             if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
                 pppl_value = heldout_pppl(state, held_sentences)
@@ -497,15 +508,10 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     finally:
         metrics.close()
 
-    result = PretrainResult(state=state, metrics=metrics.records,
-                            replay_steps=replay_log, optimizer_state=opt_state,
-                            final_step=stop)
+    state.step = stop
     if checkpoint_path is not None:
-        from . import checkpoint as ckpt
-        result.checkpoint_id = ckpt.save_checkpoint(
-            checkpoint_path, params=state.params, config=config, vocab=state.vocab,
-            step=stop, lineage=lineage, optimizer_state=opt_state)
-    return result
+        state.checkpoint_id = ckpt.save_checkpoint(checkpoint_path, state)
+    return PretrainResult(state=state, metrics=metrics.records, replay_steps=replay_log)
 
 
 def heldout_pppl(state: ModelState, sentences) -> float:

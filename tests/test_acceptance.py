@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import synthdata as sd
+from statecheck import assert_same_state
 from bertlab import autodiff as ad
 from bertlab import checkpoint as ckpt
 from bertlab import dataport as dp
@@ -463,22 +464,13 @@ def test_criterion_09_persistence(tmp_path):
     resumed = pt.run_pretraining(ckpt.load_checkpoint(tmp_path / "mid.ckpt"),
                                  corpus, plan)
     assert resumed.final_step == 100
-    for path, t in straight.state.params.items():
-        np.testing.assert_array_equal(t.data, resumed.state.params[path].data,
-                                      err_msg=path)
-    for path, slot in straight.optimizer_state.items():
-        np.testing.assert_array_equal(slot["m"], resumed.optimizer_state[path]["m"])
-        np.testing.assert_array_equal(slot["v"], resumed.optimizer_state[path]["v"])
+    assert_same_state(resumed.state, straight.state)
 
-    ckpt.save_checkpoint(tmp_path / "a.ckpt", params=straight.state.params,
-                         config=state.config, vocab=vocab, step=100,
-                         optimizer_state=straight.optimizer_state)
+    ckpt.save_checkpoint(tmp_path / "a.ckpt", straight.state)
     loaded = ckpt.load_checkpoint(tmp_path / "a.ckpt")
     for path, t in straight.state.params.items():
         np.testing.assert_array_equal(t.data, loaded.params[path].data)
-    ckpt.save_checkpoint(tmp_path / "b.ckpt", params=loaded.params,
-                         config=loaded.config, vocab=loaded.vocab, step=100,
-                         optimizer_state=loaded.optimizer_state)
+    ckpt.save_checkpoint(tmp_path / "b.ckpt", loaded)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     other = Vocabulary.from_tokens(list(SPECIAL_TOKENS) + words + ["extra"])

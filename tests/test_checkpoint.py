@@ -64,8 +64,9 @@ def saved(tmp_path):
     config, params = tiny_model(vocab)
     opt = fake_optimizer_state(params, ["embeddings.token", "heads.pooler.weight"])
     path = tmp_path / "model.ckpt"
-    cid = ck.save_checkpoint(path, params=params, config=config, vocab=vocab,
-                             step=7, lineage=("a" * 64,), optimizer_state=opt)
+    cid = ck.save_checkpoint(path, md.ModelState(
+        config=config, params=params, vocab=vocab, step=7, lineage=("a" * 64,),
+        optimizer_state=opt))
     return vocab, config, params, opt, path, cid
 
 
@@ -97,16 +98,14 @@ def test_round_trip_is_bit_identical(saved):
 def test_reserialization_of_unmodified_model_keeps_the_hash(saved, tmp_path):
     vocab, config, params, opt, path, cid = saved
     again = tmp_path / "again.ckpt"
-    cid2 = ck.save_checkpoint(again, params=params, config=config, vocab=vocab,
-                              step=7, lineage=("a" * 64,), optimizer_state=opt)
+    cid2 = ck.save_checkpoint(again, md.ModelState(
+        config=config, params=params, vocab=vocab, step=7, lineage=("a" * 64,),
+        optimizer_state=opt))
     assert cid2 == cid
     assert again.read_bytes() == path.read_bytes()
     # and through a load cycle
     loaded = ck.load_checkpoint(path)
-    cid3 = ck.save_checkpoint(tmp_path / "cycle.ckpt", params=loaded.params,
-                              config=loaded.config, vocab=loaded.vocab,
-                              step=loaded.step, lineage=loaded.lineage,
-                              optimizer_state=loaded.optimizer_state)
+    cid3 = ck.save_checkpoint(tmp_path / "cycle.ckpt", loaded)
     assert cid3 == cid
 
 
@@ -118,15 +117,15 @@ def test_checkpoint_id_is_the_file_content_hash(saved):
 def test_modified_parameter_changes_the_hash(saved, tmp_path):
     vocab, config, params, _, _, cid = saved
     params["heads.nsp.bias"].data[0] += 1.0
-    cid2 = ck.save_checkpoint(tmp_path / "mod.ckpt", params=params,
-                              config=config, vocab=vocab)
+    cid2 = ck.save_checkpoint(tmp_path / "mod.ckpt",
+                              md.ModelState(config=config, params=params, vocab=vocab))
     assert cid2 != cid
 
 
 def test_save_without_optimizer_state(saved, tmp_path):
     vocab, config, params, _, _, _ = saved
-    ck.save_checkpoint(tmp_path / "bare.ckpt", params=params, config=config,
-                       vocab=vocab)
+    ck.save_checkpoint(tmp_path / "bare.ckpt",
+                       md.ModelState(config=config, params=params, vocab=vocab))
     loaded = ck.load_checkpoint(tmp_path / "bare.ckpt")
     assert loaded.optimizer_state == {}
     assert loaded.step == 0 and loaded.lineage == ()
@@ -136,7 +135,7 @@ def test_save_leaves_no_temp_file_and_overwrites_atomically(saved, tmp_path):
     vocab, config, params, _, path, cid = saved
     assert not os.path.exists(str(path) + ".tmp")
     params["heads.nsp.bias"].data[0] -= 2.0
-    cid2 = ck.save_checkpoint(path, params=params, config=config, vocab=vocab)
+    cid2 = ck.save_checkpoint(path, md.ModelState(config=config, params=params, vocab=vocab))
     assert cid2 != cid
     assert ck.load_checkpoint(path).checkpoint_id == cid2
 
@@ -146,8 +145,8 @@ def test_non_float_tensor_is_rejected_at_save(saved, tmp_path):
     bad = Tensor(np.zeros(3))
     bad.data = np.arange(3)   # int64 payload has no manifest element type
     with pytest.raises(ConfigurationError):
-        ck.save_checkpoint(tmp_path / "bad.ckpt", params={**params, "heads.x.bias": bad},
-                           config=config, vocab=vocab)
+        ck.save_checkpoint(tmp_path / "bad.ckpt", md.ModelState(
+            config=config, params={**params, "heads.x.bias": bad}, vocab=vocab))
 
 
 # -- corruption -------------------------------------------------------------
@@ -296,6 +295,9 @@ STRUCTURED_FAULTS = {
     "vocab-longer-than-vocab-size": _one_more_token,
     "hidden-dim-is-float":
         lambda h: {**h, "config": {**h["config"], "hidden_dim": float(h["config"]["hidden_dim"])}},
+    # json.dumps writes NaN, which json.loads reads back
+    "layer-norm-eps-is-nan":
+        lambda h: {**h, "config": {**h["config"], "layer_norm_eps": float("nan")}},
 }
 
 
@@ -336,9 +338,9 @@ def clean_file(tmp_path_factory):
     vocab = word_vocab(60)
     config, params = tiny_model(vocab, n_layers=1)
     path = tmp_path_factory.mktemp("fuzz") / "clean.ckpt"
-    ck.save_checkpoint(path, params=params, config=config, vocab=vocab, step=7,
-                       lineage=("a" * 64,),
-                       optimizer_state=fake_optimizer_state(params, ["embeddings.token"]))
+    ck.save_checkpoint(path, md.ModelState(
+        config=config, params=params, vocab=vocab, step=7, lineage=("a" * 64,),
+        optimizer_state=fake_optimizer_state(params, ["embeddings.token"])))
     return path
 
 
@@ -394,15 +396,15 @@ def chain(tmp_path, child_params=None, child_config=None, child_vocab=None,
     vocab = word_vocab(20)
     config, params = tiny_model(vocab)
     parent_path = tmp_path / "parent.ckpt"
-    pid = ck.save_checkpoint(parent_path, params=params, config=config, vocab=vocab)
+    pid = ck.save_checkpoint(parent_path,
+                             md.ModelState(config=config, params=params, vocab=vocab))
     parent = ck.load_checkpoint(parent_path)
     child_path = tmp_path / "child.ckpt"
-    ck.save_checkpoint(
-        child_path,
+    ck.save_checkpoint(child_path, md.ModelState(
         params=child_params if child_params is not None else params,
         config=child_config if child_config is not None else config,
         vocab=child_vocab if child_vocab is not None else vocab,
-        step=5, lineage=(pid,) if lineage == "inherit" else lineage)
+        step=5, lineage=(pid,) if lineage == "inherit" else lineage))
     return ck.load_checkpoint(child_path), parent
 
 

@@ -187,6 +187,38 @@ def test_cf_preset_mixed_with_explicit_settings_rejected(pipeline, tmp_path):
                        "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("where", ["top-level", "section"])
+@pytest.mark.parametrize("value", [[], 0, "", False],
+                         ids=["list", "zero", "empty-string", "false"])
+def test_cf_that_is_not_an_object_is_configuration_error(pipeline, tmp_path, capsys,
+                                                         where, value):
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    (cfg if where == "top-level" else cfg["pretrain"])["cf"] = value
+    out = tmp_path / "out"
+    assert entrypoint(["pretrain", "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out)]) == 3
+    assert "cf must be an object" in capsys.readouterr().err
+    assert (out / "run.log").read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("where", ["top-level", "section"])
+def test_empty_cf_turns_every_technique_off(pipeline, tmp_path, where):
+    # a section-level cf is used as given, even {} under a top-level preset
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    if where == "top-level":
+        cfg["cf"] = {}
+    else:
+        cfg["cf"] = {"preset": "OR"}
+        cfg["pretrain"]["cf"] = {}
+    out = tmp_path / "out"
+    assert entrypoint(["pretrain", "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out)]) == 0
+    assert "cf: all defaults\n" in (out / "run.log").read_text(encoding="utf-8")
+    base = pipeline["base"] / "base"
+    for name in ("checkpoint.ckpt", "metrics.jsonl"):
+        assert (out / name).read_bytes() == (base / name).read_bytes(), name
+
+
 def test_unknown_preset_lists_available(pipeline, tmp_path, capsys):
     rc = entrypoint(["pretrain", "--config", pipeline["cfg_path"],
                      "--out", str(tmp_path / "out"), "--preset", "Z9"])
@@ -216,6 +248,8 @@ ADAPT_SECTION = {"total_steps": 2, "batch_size": 4, "peak_lr": 1e-3, "max_seq_le
     ("pretrain", "pretrain", "batch_size", 4.0),
     ("pretrain", "pretrain", "batch_size", "missing"),
     ("pretrain", "pretrain", "peak_lr", "1e-3"),
+    ("pretrain", "pretrain", "peak_lr", float("nan")),
+    ("pretrain", "pretrain", "weight_decay", float("inf")),
     ("pretrain", "cf", "mixout_p", "0.9"),
     ("pretrain", "cf", "freeze_layers", 1.0),
     ("adapt", "adapt", "mask_only", 1),
@@ -446,20 +480,35 @@ def test_finetune_baseline_delta(finetune_run, pipeline):
     assert payload["delta_pct"] is not None
 
 
+BOOL_F1_RUN = {"seed": 1, "precision": 0.5, "recall": 0.5, "f1": True, "dev_f1": 0.5,
+               "best_epoch": 0}
+
+
 @pytest.mark.parametrize("content, code", [
     ("caf\xe9".encode("latin-1"), 2),
     (json.dumps({"task": "ner", "model": "m"}).encode("utf-8"), 6),
-], ids=["latin1", "no-runs"])
+    ({"mean_f1": "x"}, 6),
+    ({"sd_f1": float("nan")}, 6),
+    ({"model": 5}, 6),
+    ({"runs": [BOOL_F1_RUN]}, 6),
+    ({"mean_f1": 0}, 3),
+    ({"task": "qa"}, 3),
+], ids=["latin1", "no-runs", "mean-f1-string", "sd-f1-nan", "model-int", "run-f1-bool",
+        "mean-f1-zero", "qa-report"])
 def test_finetune_rejects_bad_baseline_report(finetune_run, pipeline, tmp_path,
                                               content, code):
+    if isinstance(content, dict):   # fields over the report of a good run
+        good = json.loads((finetune_run["out"] / "report.ner.json").read_text(encoding="utf-8"))
+        content = json.dumps({**good, **content}).encode("utf-8")
     report = tmp_path / "baseline.json"
     report.write_bytes(content)
     cfg = json.loads(json.dumps(finetune_run["cfg"]))
     cfg["finetune"]["baseline"] = {"ner": str(report)}
     cfg_path = save_config(tmp_path / "ft.json", cfg)
-    assert entrypoint(["finetune", "--config", cfg_path,
-                       "--out", str(tmp_path / "out"),
+    out = tmp_path / "out"
+    assert entrypoint(["finetune", "--config", cfg_path, "--out", str(out),
                        "--checkpoint", pipeline["adapted_ckpt"]]) == code
+    assert not (out / "checkpoints").exists()   # failed before any seed trained
 
 
 @pytest.mark.parametrize("key, value", [

@@ -16,6 +16,7 @@ from bertlab import tokenizer as tk
 from bertlab.autodiff import Tensor
 from bertlab.errors import ConfigurationError, InputError, ValidationError
 from bertlab.seeding import substream
+from statecheck import assert_same_state
 
 IGN = pt.IGNORE_INDEX
 
@@ -686,15 +687,17 @@ def test_per_seed_checkpoints(state, ner_dataset, tmp_path):
 
 def test_finetune_from_checkpoint_lineage(state, ner_dataset, tmp_path):
     parent_path = tmp_path / "parent.ckpt"
-    parent_id = ckpt.save_checkpoint(parent_path, params=state.params,
-                                     config=state.config, vocab=state.vocab)
+    parent_id = ckpt.save_checkpoint(parent_path, state)
     parent = ckpt.load_checkpoint(parent_path)
     plan = ft.FinetunePlan(epochs=1, **QUICK)
-    result = ft.finetune_task(parent, ner_dataset, plan, seeds=(1,),
+    result = ft.finetune_task(parent, ner_dataset, plan, seeds=(1, 2),
                               checkpoint_dir=tmp_path)
-    child = ckpt.load_checkpoint(result.checkpoint_paths[0])
-    assert child.lineage == (parent_id,)
-    assert not ckpt.verify_lineage(child, parent)
+    for seed_state, path in zip(result.states, result.checkpoint_paths):
+        child = ckpt.load_checkpoint(path)
+        assert child.lineage == (parent_id,)
+        assert not ckpt.verify_lineage(child, parent)
+        assert_same_state(seed_state, child)
+    assert_same_state(parent, ckpt.load_checkpoint(parent_path))
 
 
 def test_patience_stops_early(state):

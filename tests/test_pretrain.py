@@ -16,9 +16,10 @@ from bertlab import pretrain as pt
 from bertlab.autodiff import Tensor
 from bertlab.errors import (ConfigurationError, DimensionError, InputError,
                             NumericFault, ValidationError)
-from bertlab.mitigation import CFConfig
+from bertlab.mitigation import CFConfig, preset
 from bertlab.seeding import substream
 from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, encode
+from statecheck import assert_same_state
 
 
 def word_vocab(n_words: int) -> Vocabulary:
@@ -652,17 +653,49 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
                                  checkpoint_path=tmp_path / "resumed.ckpt")
     assert resumed.final_step == 6
     assert [r["step"] for r in resumed.metrics] == [3, 4, 5]
-    for path, t in straight.state.params.items():
-        np.testing.assert_array_equal(t.data, resumed.state.params[path].data,
-                                      err_msg=path)
-    for path, slot in straight.optimizer_state.items():
-        np.testing.assert_array_equal(slot["m"], resumed.optimizer_state[path]["m"])
-        assert slot["t"] == resumed.optimizer_state[path]["t"]
     # the resume continues the run's lineage rather than descending from its
     # own mid-run checkpoint, so it writes the uninterrupted run's file
+    assert_same_state(resumed.state, straight.state)
     assert resumed.checkpoint_id == straight.checkpoint_id
     # and it trained a copy: the loaded state still holds step 3's moments
     assert all(slot["t"] <= 3 for slot in mid.optimizer_state.values())
+
+
+def test_result_state_is_what_its_checkpoint_loads_as(tmp_path):
+    vocab = word_vocab(20)
+    corpus = word_corpus(vocab)
+    plan = quick_plan(total_steps=6, peak_lr=5e-3, seed=11)
+    runs = {"fresh": pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan,
+                                        checkpoint_path=tmp_path / "fresh.ckpt"),
+            "mid": pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan, stop_step=3,
+                                      checkpoint_path=tmp_path / "mid.ckpt")}
+    runs["resumed"] = pt.run_pretraining(ck.load_checkpoint(tmp_path / "mid.ckpt"), corpus,
+                                         plan, checkpoint_path=tmp_path / "resumed.ckpt")
+    parent = ck.load_checkpoint(tmp_path / "fresh.ckpt")
+    runs["adapted"] = pt.run_pretraining(replace(parent, step=0, optimizer_state={}), corpus,
+                                         replace(plan, cf=preset("OR")),
+                                         checkpoint_path=tmp_path / "adapted.ckpt")
+    for name, result in runs.items():
+        assert_same_state(result.state, ck.load_checkpoint(tmp_path / f"{name}.ckpt"))
+    assert runs["mid"].state.step == 3
+    assert {slot["t"] for slot in runs["mid"].state.optimizer_state.values()} == {3}
+    assert runs["resumed"].state.lineage == ()
+    assert runs["adapted"].state.lineage == (parent.checkpoint_id,)
+
+
+def test_run_leaves_its_input_state_as_it_was(tmp_path):
+    vocab = word_vocab(20)
+    corpus = word_corpus(vocab)
+    plan = quick_plan(total_steps=6, peak_lr=5e-3, seed=11)
+    pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan, stop_step=3,
+                       checkpoint_path=tmp_path / "mid.ckpt")
+    mid = ck.load_checkpoint(tmp_path / "mid.ckpt")
+    first = pt.run_pretraining(mid, corpus, plan, checkpoint_path=tmp_path / "a.ckpt")
+    second = pt.run_pretraining(mid, corpus, plan, checkpoint_path=tmp_path / "b.ckpt")
+    assert_same_state(mid, ck.load_checkpoint(tmp_path / "mid.ckpt"))
+    # the second run neither starts from nor overwrites the first run's weights
+    assert_same_state(first.state, ck.load_checkpoint(tmp_path / "a.ckpt"))
+    assert_same_state(second.state, first.state)
 
 
 def test_training_improves_heldout_mlm_loss():
