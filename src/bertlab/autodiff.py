@@ -5,6 +5,14 @@ add (elementwise or bias-over-last-axis), mul, softmax, layer_norm, gelu,
 tanh, embedding_lookup, cross_entropy, plus shape plumbing (reshape,
 transpose, select) and a finite-difference gradient checker.
 
+Three fused ops each record one node with a hand-written backward: linear
+(x @ w + b), add_norm (layer_norm(x + y)) and attention (multi-head
+self-attention from the q/k/v projections to the head merge). Each evaluates
+the numpy expressions of the unfused ops it replaces, in their order and on
+arrays of the same layout, and accumulates into a shared input in the order
+the unfused graph does, so forward and backward bits are the same. They
+share their math with the unfused ops through private helpers.
+
 Float32 is the training dtype; wrap code in `precision("float64")` for
 verification runs. The only implicit broadcast is bias-add over the last
 axis and the constant-add used for attention masking; every other shape
@@ -229,11 +237,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError("matmul", a.shape, b.shape) from exc
 
     def back(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        _accumulate(a, _sum_to_shape(ga, a.shape))
-        _accumulate(b, _sum_to_shape(gb, b.shape))
+        ga, gb = _matmul_back(g, a.data, b.data)
+        _accumulate(a, ga)
+        _accumulate(b, gb)
     return _node(out, (a, b), back)
+
+
+def _matmul_back(g, a, b):
+    """Gradients of a @ b for arrays a and b, summed back to their shapes."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b, one node: x (..., n_in), w (n_in, n_out), bias b (n_out,)."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]
+            or b.shape != w.shape[1:]):
+        raise DimensionError("linear", x.shape, w.shape, b.shape)
+    out = np.matmul(x.data, w.data)
+    out += b.data
+
+    def back(g):
+        _linear_back(g, x, w, b)
+    return _node(out, (x, w, b), back)
+
+
+def _linear_back(g, x: Tensor, w: Tensor, b: Tensor) -> None:
+    _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+    gx, gw = _matmul_back(g, x.data, w.data)
+    _accumulate(x, gx)
+    _accumulate(w, gw)
 
 
 def _sum_to_shape(g: np.ndarray, shape) -> np.ndarray:
@@ -289,39 +324,79 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
     t = _as_tensor(t)
     if not -t.data.ndim <= axis < t.data.ndim:
         raise DimensionError("softmax", t.shape, (axis,))
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax(t.data, axis)
 
     def back(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(t, out * (g - inner))
+        _accumulate(t, _softmax_back(g, out, axis))
     return _node(out, (t,), back)
+
+
+def _softmax(x: np.ndarray, axis: int, out: np.ndarray = None) -> np.ndarray:
+    """Softmax of x along axis; out=x computes it in place."""
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_back(g, out, axis):
+    inner = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - inner)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize over the last axis (biased variance), then apply gain and bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    _check_norm("layer_norm", x, gain, bias, eps)
+    out, xhat, inv_std = _normalize(x.data, gain, bias, eps)
+
+    def back(g):
+        _accumulate(x, _normalize_back(g, xhat, inv_std, gain, bias))
+    return _node(out, (x, gain, bias), back)
+
+
+def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """layer_norm(x + y): a residual add and the norm after it, one node."""
+    x, y, gain, bias = _as_tensor(x), _as_tensor(y), _as_tensor(gain), _as_tensor(bias)
+    if x.shape != y.shape:
+        raise DimensionError("add_norm", x.shape, y.shape)
+    _check_norm("add_norm", x, gain, bias, eps)
+    out, xhat, inv_std = _normalize(x.data + y.data, gain, bias, eps)
+
+    def back(g):
+        gs = _normalize_back(g, xhat, inv_std, gain, bias)
+        _accumulate(x, gs)
+        _accumulate(y, gs)
+    return _node(out, (x, y, gain, bias), back)
+
+
+def _check_norm(op, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> None:
     if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+        raise ValueError(f"{op} eps must be positive")
     h = x.shape[-1]
     if gain.shape != (h,) or bias.shape != (h,):
-        raise DimensionError("layer_norm", x.shape, gain.shape, bias.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
+        raise DimensionError(op, x.shape, gain.shape, bias.shape)
+
+
+def _normalize(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
+    """(output, normalized x, 1 / std) of a layer norm over the last axis."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
-    out = xhat * gain.data + bias.data
+    return xhat * gain.data + bias.data, xhat, inv_std
 
-    def back(g):
-        _accumulate(gain, (g * xhat).reshape(-1, h).sum(axis=0))
-        _accumulate(bias, g.reshape(-1, h).sum(axis=0))
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv_std * (dxhat - m1 - xhat * m2))
-    return _node(out, (x, gain, bias), back)
+
+def _normalize_back(g, xhat, inv_std, gain: Tensor, bias: Tensor) -> np.ndarray:
+    """Accumulate the gain and bias gradients; return the input's gradient."""
+    h = xhat.shape[-1]
+    _accumulate(gain, (g * xhat).reshape(-1, h).sum(axis=0))
+    _accumulate(bias, g.reshape(-1, h).sum(axis=0))
+    dxhat = g * gain.data
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    return inv_std * (dxhat - m1 - xhat * m2)
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -366,15 +441,88 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity (and no rng draw) when rate is 0."""
     if rate == 0.0:
         return t
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
     t = _as_tensor(t)
-    keep = (rng.random(t.shape) >= rate).astype(t.data.dtype)
-    inv = 1.0 / (1.0 - rate)
+    keep, inv = _dropout_mask(t.shape, rate, rng, t.data.dtype)
 
     def back(g):
-        _accumulate(t, g * keep * inv)
-    return _node(t.data * keep * inv, (t,), back)
+        _accumulate(t, _drop(g, keep, inv))
+    return _node(_drop(t.data, keep, inv), (t,), back)
+
+
+def _dropout_mask(shape, rate, rng, dtype):
+    """(keep, 1 / (1 - rate)): a 1/0 mask drawn from rng, and the rescale."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+    return (rng.random(shape) >= rate).astype(dtype), 1.0 / (1.0 - rate)
+
+
+def _drop(a, keep, inv):
+    out = a * keep
+    out *= inv
+    return out
+
+
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+              wv: Tensor, bv: Tensor, mask_bias, n_heads: int, rate: float = 0.0,
+              rng: np.random.Generator = None, probs_out: list = None) -> Tensor:
+    """Multi-head self-attention before the output projection, one node.
+
+    x (B, L, H) is projected to queries, keys and values (weights (H, H),
+    biases (H,)) and split into n_heads heads; scores q k^T / sqrt(H / n_heads)
+    plus the constant mask_bias (broadcast to (B, n_heads, L, L)) go through
+    a softmax over keys and inverted dropout at rate (drawn from rng), weight
+    the values, and the heads are merged back to (B, L, H). probs_out, if a
+    list, receives the post-softmax probabilities.
+    """
+    x, wq, bq, wk, bk, wv, bv = (_as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv))
+    if x.data.ndim != 3 or x.shape[-1] % n_heads:
+        raise DimensionError("attention", x.shape, (n_heads,))
+    b, length, h = x.shape
+    for w, bias in ((wq, bq), (wk, bk), (wv, bv)):
+        if w.shape != (h, h) or bias.shape != (h,):
+            raise DimensionError("attention", x.shape, w.shape, bias.shape)
+    mask_bias = np.asarray(mask_bias, dtype=x.data.dtype)
+    scores_shape = (b, n_heads, length, length)
+    if np.broadcast_shapes(scores_shape, mask_bias.shape) != scores_shape:
+        raise DimensionError("attention", scores_shape, mask_bias.shape)
+    dh = h // n_heads
+    scale = float(1.0 / np.sqrt(dh))
+
+    def split_heads(w, bias):  # (B, L, H) -> (B, nh, L, dh), a view
+        y = np.matmul(x.data, w.data)
+        y += bias.data
+        return np.transpose(y.reshape(b, length, n_heads, dh), (0, 2, 1, 3))
+
+    def merge_heads(gh):  # (B, nh, L, dh) -> C-contiguous (B, L, H)
+        return np.ascontiguousarray(np.transpose(gh, (0, 2, 1, 3))).reshape(b, length, h)
+
+    qh, kh, vh = split_heads(wq, bq), split_heads(wk, bk), split_heads(wv, bv)
+    kt = np.transpose(kh, (0, 1, 3, 2))
+    probs = np.matmul(qh, kt)
+    probs *= scale
+    probs += mask_bias
+    _softmax(probs, -1, out=probs)
+    if probs_out is not None:
+        probs_out.append(probs)
+    if rate:
+        keep, inv = _dropout_mask(probs.shape, rate, rng, probs.dtype)
+        dropped = _drop(probs, keep, inv)
+    else:
+        dropped = probs
+    out = np.transpose(np.matmul(dropped, vh), (0, 2, 1, 3)).reshape(b, length, h)
+
+    def back(g):
+        g_ctx = np.ascontiguousarray(np.transpose(g.reshape(b, length, n_heads, dh), (0, 2, 1, 3)))
+        g_dropped, g_vh = _matmul_back(g_ctx, dropped, vh)
+        g_probs = _drop(g_dropped, keep, inv) if rate else g_dropped
+        g_scores = _softmax_back(g_probs, probs, -1)
+        g_scores *= scale
+        g_qh, g_kt = _matmul_back(g_scores, qh, kt)
+        # into x as the unfused graph accumulates it: values, keys, queries
+        _linear_back(merge_heads(g_vh), x, wv, bv)
+        _linear_back(merge_heads(np.swapaxes(g_kt, -1, -2)), x, wk, bk)
+        _linear_back(merge_heads(g_qh), x, wq, bq)
+    return _node(out, (x, wq, bq, wk, bk, wv, bv), back)
 
 
 def sum_all(t: Tensor) -> Tensor:

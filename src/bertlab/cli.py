@@ -332,7 +332,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
         raise ConfigurationError(
             f"finetune.baseline must map configured task names to report "
             f"paths, got {baselines!r}")
-    model_name = section.pop("model_name", "model")
+    model_name = typed(section.pop("model_name", "model"), str, "finetune.model_name")
     plan = ft.FinetunePlan.from_dict(section, "finetune")
     # every baseline is read and checked before the first task trains
     reports = {}

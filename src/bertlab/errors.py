@@ -136,12 +136,12 @@ def write_text(path, text: str) -> None:
 
 
 # the JSON types each scalar field type takes; a bool is not a number
-FIELD_TYPES = {int: (int,), float: (int, float), bool: (bool,)}
+FIELD_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
 
 
 def typed(value, kind, where: str):
-    """`value`, unconverted, if its JSON type suits `kind` (int, float or
-    bool) and, for a float, it is finite; ConfigurationError naming `where`
+    """`value`, unconverted, if its JSON type suits `kind` (int, float, bool
+    or str) and, for a float, it is finite; ConfigurationError naming `where`
     if not. Python's json parses NaN and Infinity."""
     if type(value) not in FIELD_TYPES[kind]:
         raise ConfigurationError(f"{where} must be {kind.__name__}, got {value!r}")

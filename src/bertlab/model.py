@@ -9,6 +9,11 @@ discriminative-learning-rate, freezing, and checkpoint code keys on.
 Attention masking is additive: masked positions get -1e9 before softmax,
 which underflows to an exactly-zero attention weight, so padding content
 cannot leak into real positions even at the bit level.
+
+An encoder layer is seven autodiff nodes at dropout 0: attention (the q/k/v
+projections through the head merge), the output linear, add_norm, the FFN's
+linear, gelu and linear, and add_norm; each dropout adds one. The fused ops
+give the same bits as the unfused graph they replace.
 """
 
 from dataclasses import dataclass, field
@@ -163,11 +168,15 @@ def add_task_head(params: dict, config: ModelConfig, name: str, n_out: int,
 
 
 def _linear(x: Tensor, params: dict, prefix: str) -> Tensor:
-    return ad.add(ad.matmul(x, params[prefix + ".weight"]), params[prefix + ".bias"])
+    return ad.linear(x, params[prefix + ".weight"], params[prefix + ".bias"])
 
 
 def _norm(x: Tensor, params: dict, prefix: str, eps: float) -> Tensor:
     return ad.layer_norm(x, params[prefix + ".gain"], params[prefix + ".bias"], eps)
+
+
+def _add_norm(x: Tensor, y: Tensor, params: dict, prefix: str, eps: float) -> Tensor:
+    return ad.add_norm(x, y, params[prefix + ".gain"], params[prefix + ".bias"], eps)
 
 
 def attention_mask_bias(attention_mask: np.ndarray, dtype) -> np.ndarray:
@@ -205,36 +214,26 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("training forward pass needs an rng for dropout")
     drop = config.dropout_rate if train else 0.0
+    eps = config.layer_norm_eps
 
     positions = np.broadcast_to(np.arange(length), (b, length))
     x = ad.add(ad.add(ad.embedding_lookup(params["embeddings.token"], input_ids),
                       ad.embedding_lookup(params["embeddings.position"], positions)),
                ad.embedding_lookup(params["embeddings.segment"], segment_ids))
-    x = _norm(x, params, "embeddings.norm", config.layer_norm_eps)
+    x = _norm(x, params, "embeddings.norm", eps)
     x = ad.dropout(x, drop, rng)
 
     mask_bias = attention_mask_bias(attention_mask, x.dtype)
-    nh, dh = config.n_heads, config.head_dim
-
-    def split_heads(t):  # (B, L, H) -> (B, nh, L, dh)
-        return ad.transpose(ad.reshape(t, (b, length, nh, dh)), (0, 2, 1, 3))
-
     for i in range(config.n_layers):
         base = f"encoder.{i}"
-        q = split_heads(_linear(x, params, f"{base}.attention.q"))
-        k = split_heads(_linear(x, params, f"{base}.attention.k"))
-        v = split_heads(_linear(x, params, f"{base}.attention.v"))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        probs = ad.softmax(ad.add_const(scores, mask_bias), axis=-1)
-        if attention_out is not None:
-            attention_out.append(probs.data)
-        probs = ad.dropout(probs, drop, rng)
-        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, config.hidden_dim))
+        qkv = [params[f"{base}.attention.{proj}.{kind}"]
+               for proj in "qkv" for kind in ("weight", "bias")]
+        ctx = ad.attention(x, *qkv, mask_bias, config.n_heads, drop, rng, attention_out)
         attn = ad.dropout(_linear(ctx, params, f"{base}.attention.out"), drop, rng)
-        x = _norm(ad.add(x, attn), params, f"{base}.attention.norm", config.layer_norm_eps)
+        x = _add_norm(x, attn, params, f"{base}.attention.norm", eps)
         ff = _linear(ad.gelu(_linear(x, params, f"{base}.ffn.in")), params, f"{base}.ffn.out")
         ff = ad.dropout(ff, drop, rng)
-        x = _norm(ad.add(x, ff), params, f"{base}.ffn.norm", config.layer_norm_eps)
+        x = _add_norm(x, ff, params, f"{base}.ffn.norm", eps)
     return x
 
 
@@ -256,7 +255,7 @@ def mlm_logits(hidden: Tensor, params: dict, config: ModelConfig) -> Tensor:
         decoder = ad.transpose(params["embeddings.token"], (1, 0))
     else:
         decoder = params["heads.mlm.decoder.weight"]
-    return ad.add(ad.matmul(t, decoder), params["heads.mlm.decoder.bias"])
+    return ad.linear(t, decoder, params["heads.mlm.decoder.bias"])
 
 
 def pooled_cls(hidden: Tensor, params: dict) -> Tensor:

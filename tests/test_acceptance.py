@@ -91,6 +91,34 @@ def test_criterion_01_gradient_correctness():
             ("mean_all", lambda x: ad.mean_all(ad.mul(x, x)), t((3, 4))),
             ("cross_entropy", lambda x: ad.cross_entropy(x, np.array([1, -100, 3])), t((3, 5))),
         ]
+        w34, b4 = t((3, 4)), t((4,))
+        for shape in ((2, 5, 3), (5, 3)):
+            xs, tag = t(shape), f"{len(shape)}d"
+            probes += [
+                (f"linear-{tag}-x", lambda x: ad.sum_all(ad.tanh(ad.linear(x, w34, b4))), t(shape)),
+                (f"linear-{tag}-w", lambda x, xs=xs: ad.sum_all(ad.tanh(ad.linear(xs, x, b4))), t((3, 4))),
+                (f"linear-{tag}-b", lambda x, xs=xs: ad.sum_all(ad.tanh(ad.linear(xs, w34, x))), t((4,))),
+            ]
+        weights = t((2, 3, 4))
+        norm_args = {"x": t((2, 3, 4)), "y": t((2, 3, 4)), "gain": gain, "bias": bias}
+        for name in norm_args:
+            def fn(v, name=name):
+                return ad.sum_all(ad.mul(ad.add_norm(**{**norm_args, name: v}), weights))
+            probes.append((f"add_norm-{name}", fn, t(norm_args[name].shape)))
+        # B=2, L=3, H=4 in two heads, the last key column of row 1 padded
+        mask = np.zeros((2, 1, 1, 3))
+        mask[1, ..., 2] = md.MASK_BIAS
+        att_args = {"x": t((2, 3, 4))}
+        for proj in "qkv":
+            att_args.update({f"w{proj}": t((4, 4), 0.5), f"b{proj}": t((4,), 0.5)})
+        for rate in (0.0, 0.3):
+            for name in att_args:
+                def fn(v, name=name, rate=rate):
+                    args = {**att_args, name: v}
+                    rng = substream(9, "fd-attention") if rate else None
+                    return ad.sum_all(ad.mul(ad.attention(**args, mask_bias=mask, n_heads=2,
+                                                          rate=rate, rng=rng), weights))
+                probes.append((f"attention-{name}-rate{rate}", fn, t(att_args[name].shape)))
         for name, fn, x in probes:
             err = ad.grad_check(fn, x)
             assert err < FD_PRIMITIVE_TOL, f"{name}: relative error {err}"

@@ -516,10 +516,11 @@ def test_finetune_rejects_bad_baseline_report(finetune_run, pipeline, tmp_path,
     ("seeds", [1, True]), ("seeds", [[1]]),
     ("baseline", ["x"]), ("baseline", "ner"), ("baseline", 7),
     ("baseline", {"ner": 5}), ("baseline", {"ner": ["a"]}),
-    ("baseline", {"qa": "report.json"}),
+    ("baseline", {"qa": "report.json"}), ("model_name", 5), ("model_name", None),
 ], ids=["seeds-int", "seeds-string", "seeds-empty", "seeds-float", "seeds-bool",
         "seeds-nested", "baseline-list", "baseline-string", "baseline-int",
-        "baseline-int-path", "baseline-list-path", "baseline-task-not-run"])
+        "baseline-int-path", "baseline-list-path", "baseline-task-not-run",
+        "model-name-int", "model-name-null"])
 def test_finetune_bad_seeds_or_baseline_is_configuration_error(
         finetune_run, pipeline, tmp_path, capsys, key, value):
     cfg = json.loads(json.dumps(finetune_run["cfg"]))
@@ -529,6 +530,7 @@ def test_finetune_bad_seeds_or_baseline_is_configuration_error(
                        "--out", str(tmp_path / "out"),
                        "--checkpoint", pipeline["adapted_ckpt"]]) == 3
     assert f"finetune.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "checkpoints").exists()   # before any seed trained
 
 
 def test_finetune_unknown_task_rejected(pipeline, tmp_path):

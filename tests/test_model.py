@@ -1,10 +1,12 @@
 """Encoder micro-oracles: padding isolation, layer-norm hand trace, shape
-contracts, and the end-to-end gradient check of the joint pretraining loss."""
+contracts, the fused encoder against the unfused one, and the end-to-end
+gradient check of the joint pretraining loss."""
 
 import numpy as np
 import pytest
 
 from bertlab import autodiff as ad
+from bertlab import mitigation as mit
 from bertlab import model as md
 from bertlab.autodiff import Tensor
 from bertlab.errors import ConfigurationError
@@ -127,6 +129,95 @@ def test_single_token_identity_layer_reduces_to_embedding_path():
                + params["embeddings.segment"].data[0])
         normed = (emb - emb.mean()) / np.sqrt(emb.var() + config.layer_norm_eps)
         np.testing.assert_allclose(out.data[0, 0], normed, atol=1e-9)
+
+
+# -- the fused encoder against the unfused one ------------------------------
+
+
+def unfused_forward_encoder(params, config, input_ids, segment_ids, attention_mask,
+                            drop=0.0, rng=None):
+    """Oracle: the encoder built from the unfused ops, 31 nodes per layer at
+    rate 0. The fused primitives evaluate these expressions in this order."""
+    b, length = input_ids.shape
+    nh, dh, eps = config.n_heads, config.head_dim, config.layer_norm_eps
+
+    def linear(t, prefix):
+        return ad.add(ad.matmul(t, params[prefix + ".weight"]), params[prefix + ".bias"])
+
+    def norm(t, prefix):
+        return ad.layer_norm(t, params[prefix + ".gain"], params[prefix + ".bias"], eps)
+
+    def split_heads(t):  # (B, L, H) -> (B, nh, L, dh)
+        return ad.transpose(ad.reshape(t, (b, length, nh, dh)), (0, 2, 1, 3))
+
+    positions = np.broadcast_to(np.arange(length), (b, length))
+    x = ad.add(ad.add(ad.embedding_lookup(params["embeddings.token"], input_ids),
+                      ad.embedding_lookup(params["embeddings.position"], positions)),
+               ad.embedding_lookup(params["embeddings.segment"], segment_ids))
+    x = ad.dropout(norm(x, "embeddings.norm"), drop, rng)
+    mask_bias = md.attention_mask_bias(attention_mask, x.dtype)
+    for i in range(config.n_layers):
+        base = f"encoder.{i}"
+        q = split_heads(linear(x, f"{base}.attention.q"))
+        k = split_heads(linear(x, f"{base}.attention.k"))
+        v = split_heads(linear(x, f"{base}.attention.v"))
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+        probs = ad.dropout(ad.softmax(ad.add_const(scores, mask_bias), axis=-1), drop, rng)
+        ctx = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)),
+                         (b, length, config.hidden_dim))
+        attn = ad.dropout(linear(ctx, f"{base}.attention.out"), drop, rng)
+        x = norm(ad.add(x, attn), f"{base}.attention.norm")
+        ff = ad.dropout(linear(ad.gelu(linear(x, f"{base}.ffn.in")), f"{base}.ffn.out"), drop, rng)
+        x = norm(ad.add(x, ff), f"{base}.ffn.norm")
+    return x
+
+
+def _encoder_and_grads(forward, params, config, batch, drop, mixout):
+    """Encoder output and every parameter gradient of a fixed linear loss."""
+    for t in params.values():
+        t.grad = None
+    used = params
+    if mixout:
+        anchor = {p: a - 0.01 for p, a in mit.take_anchor(params).items()}
+        used = mit.mixout_apply(params, anchor, 0.3, substream(4, "mixout"))
+    hidden = forward(used, config, *batch, drop=drop, rng=substream(5, "drop"))
+    weights = substream(6, "loss").standard_normal(hidden.shape)
+    ad.sum_all(ad.mul(hidden, Tensor(weights))).backward()
+    return hidden.data, {p: t.grad for p, t in params.items() if not p.startswith("heads.")}
+
+
+def _fused_forward(params, config, ids, seg, mask, drop, rng):
+    return md.forward_encoder(params, config, ids, seg, mask, train=drop > 0,
+                              rng=rng)
+
+
+@pytest.mark.parametrize("drop, mixout", [(0.0, False), (0.1, False), (0.1, True)])
+def test_fused_encoder_matches_unfused_bit_for_bit(drop, mixout):
+    # at this shape (float32, OpenBLAS) a matmul on the strided view of the
+    # key gradient that attention's backward copies to C order is off by an ulp
+    config = small_config(hidden_dim=48, dropout_rate=drop)
+    params = md.init_params(config, substream(13, "init"))
+    batch = make_batch(config, b=3, length=12, n_real=9, seed=4)
+    got, got_grads = _encoder_and_grads(_fused_forward, params, config, batch, drop, mixout)
+    want, want_grads = _encoder_and_grads(unfused_forward_encoder, params, config, batch,
+                                          drop, mixout)
+    assert got.dtype == want.dtype == np.float32
+    assert np.array_equal(got, want)
+    for path, grad in want_grads.items():
+        assert grad is not None and np.array_equal(got_grads[path], grad), path
+
+
+def _recorded_nodes(forward, n_layers):
+    config = small_config(n_layers=n_layers)
+    params = md.init_params(config, substream(14, "init"))
+    hidden = forward(params, config, *make_batch(config), drop=0.0, rng=None)
+    return sum(1 for node in ad._topo_order(hidden) if node._parents)
+
+
+def test_fused_encoder_layer_records_seven_nodes():
+    assert _recorded_nodes(_fused_forward, 2) - _recorded_nodes(_fused_forward, 1) <= 7
+    unfused = _recorded_nodes(unfused_forward_encoder, 2) - _recorded_nodes(unfused_forward_encoder, 1)
+    assert unfused == 31
 
 
 # -- heads ------------------------------------------------------------------
