@@ -442,24 +442,42 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return t
     t = _as_tensor(t)
-    keep, inv = _dropout_mask(t.shape, rate, rng, t.data.dtype)
+    mask = _dropout_mask(t.shape, rate, rng, t.data.dtype)
 
     def back(g):
-        _accumulate(t, _drop(g, keep, inv))
-    return _node(_drop(t.data, keep, inv), (t,), back)
+        _accumulate(t, g * mask)
+    return _node(t.data * mask, (t,), back)
 
 
 def _dropout_mask(shape, rate, rng, dtype):
-    """(keep, 1 / (1 - rate)): a 1/0 mask drawn from rng, and the rescale."""
+    """keep / (1 - rate): a 1/0 keep mask drawn from rng, rescaled. Applying
+    it is one multiply with the bits of keeping and rescaling apart, since
+    keep is exactly 0 or 1."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate {rate} outside [0, 1)")
-    return (rng.random(shape) >= rate).astype(dtype), 1.0 / (1.0 - rate)
+    mask = (rng.random(shape) >= rate).astype(dtype)
+    mask *= 1.0 / (1.0 - rate)
+    return mask
 
 
-def _drop(a, keep, inv):
-    out = a * keep
-    out *= inv
-    return out
+def mixout(ts, ref: np.ndarray, mask: np.ndarray, p: float) -> list:
+    """`mitigation.mixout_apply`'s mixout of the tensors ts toward the anchor
+    ref, one node each, computed in one pass over ts laid end to end (ref and
+    the 1/0 keep mask are flat in that layout) as mul, add_const and scale
+    compute it. A tensor's gradient is (g / (1 - p)) * mask."""
+    s = 1.0 / (1.0 - p)
+    out = np.concatenate([t.data.reshape(-1) for t in ts])
+    out *= mask
+    out += ((1.0 - mask) * ref - p * ref).astype(out.dtype, copy=False)
+    out *= s
+    return [_node(value, (t,), lambda g, t=t, keep=keep: _accumulate(t, (g * s) * keep))
+            for t, value, keep in zip(ts, flat_views(out, ts), flat_views(mask, ts))]
+
+
+def flat_views(flat: np.ndarray, ts) -> list:
+    """Views of the 1-d array flat shaped like the tensors ts, laid end to end."""
+    ends = np.cumsum([t.data.size for t in ts]).tolist()
+    return [flat[end - t.data.size: end].reshape(t.shape) for t, end in zip(ts, ends)]
 
 
 def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
@@ -505,8 +523,8 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     if probs_out is not None:
         probs_out.append(probs)
     if rate:
-        keep, inv = _dropout_mask(probs.shape, rate, rng, probs.dtype)
-        dropped = _drop(probs, keep, inv)
+        mask = _dropout_mask(probs.shape, rate, rng, probs.dtype)
+        dropped = probs * mask
     else:
         dropped = probs
     out = np.transpose(np.matmul(dropped, vh), (0, 2, 1, 3)).reshape(b, length, h)
@@ -514,7 +532,7 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     def back(g):
         g_ctx = np.ascontiguousarray(np.transpose(g.reshape(b, length, n_heads, dh), (0, 2, 1, 3)))
         g_dropped, g_vh = _matmul_back(g_ctx, dropped, vh)
-        g_probs = _drop(g_dropped, keep, inv) if rate else g_dropped
+        g_probs = g_dropped * mask if rate else g_dropped
         g_scores = _softmax_back(g_probs, probs, -1)
         g_scores *= scale
         g_qh, g_kt = _matmul_back(g_scores, qh, kt)

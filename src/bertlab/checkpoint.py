@@ -170,6 +170,7 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
             and _is_count(step) and isinstance(opt_t, dict)
             and all(_is_count(t) for t in opt_t.values())):
         _fail(_HEADER_START, "malformed lineage, step or optimizer step counts")
+    stored = {e["path"]: e for e in manifest}
     optimizer_state = {}
     for p, t in opt_t.items():
         try:
@@ -177,6 +178,14 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
                                   "t": t}
         except KeyError:
             _fail(_HEADER_START, f"optimizer section is missing arrays for {p}")
+        if p not in stored:
+            _fail(_HEADER_START, f"optimizer slot {p} has no stored parameter")
+        for k in ("m", "v"):
+            arr = optimizer_state[p][k]
+            if list(arr.shape) != stored[p]["shape"] or arr.dtype.str != stored[p]["dtype"]:
+                _fail(_HEADER_START, f"optimizer slot {p}: {k} is {arr.dtype.str} "
+                                     f"{list(arr.shape)} but the parameter is "
+                                     f"{stored[p]['dtype']} {stored[p]['shape']}")
 
     try:
         state = md.ModelState(

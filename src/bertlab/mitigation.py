@@ -14,7 +14,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .autodiff import Tensor
 from .errors import ConfigurationError, Record
 
 
@@ -135,8 +134,11 @@ def frozen_paths(paths, k, n_layers: int) -> frozenset:
 
 
 def take_anchor(params: dict) -> dict:
-    """Frozen numpy copies of the current parameter values."""
-    return {path: t.data.copy() for path, t in params.items()}
+    """Frozen copies of the current parameter values: views into one copy of
+    the parameters laid end to end in sorted-path order (their arena)."""
+    tensors = [params[p] for p in sorted(params)]
+    flat = np.concatenate([t.data.reshape(-1) for t in tensors])
+    return dict(zip(sorted(params), ad.flat_views(flat, tensors)))
 
 
 def mixout_apply(current: dict, anchor: dict, p, rng: np.random.Generator) -> dict:
@@ -147,23 +149,23 @@ def mixout_apply(current: dict, anchor: dict, p, rng: np.random.Generator) -> di
         out = (mask * current + (1 - mask) * anchor - p * anchor) / (1 - p)
 
     Gradients flow to the current parameters through the mask (factor
-    mask/(1-p)); the anchor is a constant.
+    mask/(1-p)); the anchor is a constant. One draw of uniforms covers the
+    anchored paths in sorted order, the numbers per-tensor draws in that
+    order would give, and each path becomes one graph node.
     """
     if p is None or p == 0.0:
         return current
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"mixout p {p} outside [0, 1)")
-    mixed = dict(current)
-    for path in sorted(anchor):
-        theta = current[path]
-        ref = anchor[path]
-        if ref.shape != theta.shape:
-            raise ConfigurationError(
-                f"mixout anchor shape mismatch at {path}: {ref.shape} vs {theta.shape}")
-        mask = (rng.random(ref.shape) >= p).astype(theta.data.dtype)
-        const = (1.0 - mask) * ref - p * ref
-        mixed[path] = ad.scale(ad.add_const(ad.mul(theta, Tensor(mask)), const), 1.0 / (1.0 - p))
-    return mixed
+    paths = sorted(anchor)
+    for path in paths:
+        if anchor[path].shape != current[path].shape:
+            raise ConfigurationError(f"mixout anchor shape mismatch at {path}: "
+                                     f"{anchor[path].shape} vs {current[path].shape}")
+    ts = [current[path] for path in paths]
+    ref = np.concatenate([anchor[path].reshape(-1) for path in paths])
+    mask = (rng.random(ref.size) >= p).astype(ts[0].data.dtype)
+    return {**current, **dict(zip(paths, ad.mixout(ts, ref, mask, p)))}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ divisible by the replay frequency.
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -303,29 +304,56 @@ def pad_rows(rows, fill) -> np.ndarray:
 def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
               lr_factors: dict = None, frozen=frozenset()) -> None:
     """Adam with bias correction and decoupled weight decay (norms and biases
-    excluded). Parameters without a gradient this step are untouched — frozen
-    paths therefore keep both their values and their optimizer state."""
-    for path in sorted(params):
-        t = params[path]
-        if path in frozen or not t.requires_grad or t.grad is None:
-            continue
-        g = t.grad
-        if not np.isfinite(g).all():
-            raise NumericFault(f"non-finite gradient at {path}")
-        s = state.get(path)
-        if s is None:
-            s = state[path] = {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "t": 0}
-        s["t"] += 1
-        b1, b2 = plan.adam_beta1, plan.adam_beta2
-        s["m"] = b1 * s["m"] + (1.0 - b1) * g
-        s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
-        m_hat = s["m"] / (1.0 - b1 ** s["t"])
-        v_hat = s["v"] / (1.0 - b2 ** s["t"])
-        update = m_hat / (np.sqrt(v_hat) + plan.adam_eps)
-        if plan.weight_decay and not md.is_no_decay(path):
-            update = update + plan.weight_decay * t.data
-        factor = lr_factors.get(path, 1.0) if lr_factors else 1.0
-        t.data -= (lr * factor) * update
+    excluded), as whole-array operations over the arena of `params`
+    (`model.lay_out`). Parameters without a gradient this step are untouched
+    — frozen paths therefore keep their values and their optimizer state. A
+    path's slot is made on its first update; its m and v are arena views."""
+    paths = sorted(params)
+    ts = [params[p] for p in paths]
+    live = [p not in frozen and t.requires_grad and t.grad is not None
+            for p, t in zip(paths, ts)]
+    if not any(live):
+        return
+    arena, sizes = md.lay_out(params), [t.data.size for t in ts]
+    on = all(live) or np.repeat(live, sizes)
+    g = np.concatenate([(t.grad if a else t.data).reshape(-1) for t, a in zip(ts, live)],
+                       dtype=arena.dtype)
+    if not np.all(np.isfinite(g), where=on):
+        raise NumericFault("non-finite gradient at " + next(
+            p for p, a, x in zip(paths, live, ad.flat_views(g, ts))
+            if a and not np.isfinite(x).all()))
+    for p, t, a, end in zip(paths, ts, live, np.cumsum(sizes).tolist()):
+        s = state.get(p)
+        if a and (s is None or s["m"].base is not arena):   # new, or loaded or copied
+            m, v = (row[end - t.data.size: end].reshape(t.shape) for row in arena[1:])
+            m[...], v[...] = (0.0, 0.0) if s is None else (s["m"], s["v"])
+            s = state.setdefault(p, {"t": 0})
+            s["m"], s["v"] = m, v
+        if a:
+            s["t"] += 1
+
+    def per_path(value):
+        # one Python scalar when the updated paths agree, which numpy casts
+        # as it cast the per-tensor update's scalar; else one per element
+        values = [value(p) if a else 1.0 for p, a in zip(paths, live)]
+        agreed = {x for x, a in zip(values, live) if a}
+        return (agreed.pop() if len(agreed) == 1
+                else np.repeat(np.array(values, arena.dtype), sizes))
+
+    mul, add, div = (partial(f, where=on) for f in (np.multiply, np.add, np.divide))
+    b1, b2, (w, m, v), tmp = plan.adam_beta1, plan.adam_beta2, arena, np.empty_like(g)
+    add(mul(m, b1, out=m), mul(g, 1.0 - b1, out=tmp), out=m)
+    add(mul(v, b2, out=v), mul(mul(g, 1.0 - b2, out=tmp), g, out=tmp), out=v)
+    v_hat = div(v, per_path(lambda p: 1.0 - b2 ** state[p]["t"]), out=tmp)
+    denom = add(np.sqrt(v_hat, out=tmp, where=on), plan.adam_eps, out=tmp)
+    update = div(div(m, per_path(lambda p: 1.0 - b1 ** state[p]["t"]), out=g), denom, out=g)
+    if plan.weight_decay:
+        # a select, not a multiply by 0.0, which would add +0.0 to a -0.0 update
+        decay = np.repeat([not md.is_no_decay(p) for p in paths], sizes)
+        np.add(update, np.multiply(w, plan.weight_decay, out=tmp, where=decay), out=update,
+               where=decay)
+    factors = per_path(lambda p: lr * (lr_factors.get(p, 1.0) if lr_factors else 1.0))
+    np.subtract(w, mul(update, factors, out=update), out=w, where=on)
 
 
 def train_step(loss, params: dict, opt_state: dict, lr: float, plan,
@@ -462,10 +490,15 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     if not 0 <= start <= stop <= plan.total_steps:
         raise ConfigurationError(
             f"step range [{start}, {stop}) outside plan of {plan.total_steps} steps")
+    if cf.mixout_p and start:
+        raise ConfigurationError(
+            f"a mixout run cannot resume at step {start}: its anchor, the weights at "
+            "step 0, is not stored in the checkpoint")
     state = ModelState(config=config, params=md.copy_params(init.params), vocab=init.vocab,
                        step=start, lineage=lineage,
                        optimizer_state={p: dict(slot)
                                         for p, slot in init.optimizer_state.items()})
+    md.lay_out(state.params)   # before the first step's graph holds memory
 
     train_corpus, heldout = split_heldout(corpus, plan.heldout_fraction)
     held_sentences = [s for doc in heldout.documents for s in doc][: plan.eval_sentences]

@@ -268,6 +268,35 @@ def test_missing_optimizer_arrays_fail(saved):
         ck.load_checkpoint(path)
 
 
+# Adam slots that no resume could use: a raw numpy error at the first step,
+# or, for a broadcastable shape, silently wrong training
+BAD_SLOTS = {
+    "slot-without-parameter": ("heads.ghost.weight", {"m": np.zeros(3, np.float32)}),
+    "m-of-another-shape": ("heads.pooler.weight", {"m": np.zeros(5, np.float32)}),
+    "v-of-a-broadcastable-shape": ("heads.pooler.weight", {"v": np.zeros(16, np.float32)}),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_SLOTS) + ["m-of-another-dtype"])
+def test_optimizer_slot_unlike_its_parameter_is_integrity_error(saved, tmp_path, fault):
+    vocab, config, params, opt, path, _ = saved
+    if fault in BAD_SLOTS:
+        name, arrays = BAD_SLOTS[fault]
+        slot = {"m": np.zeros(3, np.float32), "v": np.zeros(3, np.float32), "t": 2}
+        if name in params:
+            slot = {k: np.zeros_like(params[name].data) for k in ("m", "v")} | {"t": 2}
+        path = tmp_path / "bad.ckpt"
+        ck.save_checkpoint(path, md.ModelState(config=config, params=params, vocab=vocab,
+                                               optimizer_state={**opt, name: slot | arrays}))
+    else:   # float64 moments of a float32 parameter, in the same bytes
+        name = "heads.pooler.weight"
+        rewrite_header(path, lambda h: next(
+            e for e in h["optimizer_manifest"] if e["path"] == f"m.{name}").update(
+                dtype="<f8", shape=[16, 8]))
+    with pytest.raises(IntegrityError, match=rf"byte 16: optimizer slot {name}\b"):
+        ck.load_checkpoint(path)
+
+
 def _first_entry(**fields):
     def transform(header):
         header["manifest"][0].update(fields)

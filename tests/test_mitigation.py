@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertlab import autodiff as ad
 from bertlab import mitigation as mit
@@ -176,6 +178,59 @@ def test_mixout_shape_mismatch_rejected():
     current = {"w": Tensor(np.ones(4), requires_grad=True)}
     with pytest.raises(ConfigurationError):
         mit.mixout_apply(current, {"w": np.ones(5)}, 0.5, substream(0, "m"))
+
+
+def per_tensor_mixout_apply(current, anchor, p, rng):
+    """The per-tensor mixout `mit.mixout_apply` replaced, three nodes and one
+    draw per path: the oracle of its bits."""
+    mixed = dict(current)
+    for path in sorted(anchor):
+        theta, ref = current[path], anchor[path]
+        mask = (rng.random(ref.shape) >= p).astype(theta.data.dtype)
+        const = (1.0 - mask) * ref - p * ref
+        mixed[path] = ad.scale(ad.add_const(ad.mul(theta, Tensor(mask)), const), 1.0 / (1.0 - p))
+    return mixed
+
+
+@st.composite
+def mixout_cases(draw):
+    """(dtype, current arrays, anchor arrays, p): random shapes; the anchor
+    covers some of the paths, in the parameters' dtype or in float64."""
+    dtype = draw(st.sampled_from(["float32", "float64"]))
+    names = draw(st.lists(st.sampled_from(["a.w", "b.w", "c.bias", "d.gain", "e.w"]),
+                          min_size=1, max_size=5, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    current = {n: rng.standard_normal(tuple(draw(st.lists(st.integers(1, 6), max_size=3))))
+               for n in names}
+    anchored = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    ref_dtype = draw(st.sampled_from([dtype, "float64"]))
+    anchor = {n: (current[n] + rng.standard_normal(current[n].shape)).astype(ref_dtype)
+              for n in anchored}
+    return dtype, current, anchor, draw(st.sampled_from([0.1, 0.5, 0.9, 0.37]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(case=mixout_cases())
+def test_mixout_apply_matches_the_per_tensor_oracle_bit_for_bit(case):
+    dtype, current, anchor, p = case
+    results = []
+    with ad.precision(dtype):
+        for apply in (per_tensor_mixout_apply, mit.mixout_apply):
+            params = {n: Tensor(a, requires_grad=True) for n, a in current.items()}
+            mixed = apply(params, anchor, p, substream(2, "mixout"))
+            loss_rng = substream(3, "loss")
+            terms = [ad.sum_all(ad.mul(mixed[n], Tensor(loss_rng.standard_normal(a.shape))))
+                     for n, a in sorted(current.items()) for _ in range(2)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = ad.add(loss, term)
+            loss.backward()
+            results.append(({n: t.data for n, t in mixed.items()},
+                            {n: t.grad for n, t in params.items()}))
+    (want, want_grads), (got, got_grads) = results
+    for n in current:
+        assert got[n].dtype == want[n].dtype and np.array_equal(got[n], want[n]), n
+        assert np.array_equal(got_grads[n], want_grads[n]), n
 
 
 # -- replay schedule --------------------------------------------------------

@@ -8,9 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertlab import autodiff as ad
 from bertlab import checkpoint as ck
+from bertlab import mitigation as mit
 from bertlab import model as md
 from bertlab import pretrain as pt
 from bertlab.autodiff import Tensor
@@ -419,6 +422,124 @@ def test_adam_lr_factors_scale_the_step():
     assert half.data[0] == pytest.approx(full.data[0] / 2)
 
 
+def per_tensor_adam_step(params, state, lr, plan, lr_factors=None, frozen=frozenset()):
+    """The per-tensor Adam loop `pt.adam_step` replaced: the oracle of its bits."""
+    for path in sorted(params):
+        t = params[path]
+        if path in frozen or not t.requires_grad or t.grad is None:
+            continue
+        g = t.grad
+        if not np.isfinite(g).all():
+            raise NumericFault(f"non-finite gradient at {path}")
+        s = state.get(path)
+        if s is None:
+            s = state[path] = {"m": np.zeros_like(t.data), "v": np.zeros_like(t.data), "t": 0}
+        s["t"] += 1
+        b1, b2 = plan.adam_beta1, plan.adam_beta2
+        s["m"] = b1 * s["m"] + (1.0 - b1) * g
+        s["v"] = b2 * s["v"] + (1.0 - b2) * g * g
+        m_hat = s["m"] / (1.0 - b1 ** s["t"])
+        v_hat = s["v"] / (1.0 - b2 ** s["t"])
+        update = m_hat / (np.sqrt(v_hat) + plan.adam_eps)
+        if plan.weight_decay and not md.is_no_decay(path):
+            update = update + plan.weight_decay * t.data
+        factor = lr_factors.get(path, 1.0) if lr_factors else 1.0
+        t.data -= (lr * factor) * update
+
+
+# decayed weights, no-decay biases and norms, in several LLRD groups
+ADAM_PATHS = ("embeddings.token", "embeddings.norm.gain", "encoder.0.attention.q.weight",
+              "encoder.0.attention.q.bias", "encoder.1.ffn.norm.bias", "encoder.1.ffn.in.weight",
+              "heads.mlm.decoder.bias", "heads.ner.weight")
+
+
+@st.composite
+def adam_cases(draw):
+    """(dtype, params, loaded state, per-step gradients, frozen, lr factors,
+    plan): random shapes; a path may be frozen, lack a gradient on a step or
+    start from a loaded slot with its own t; values include signed zeros and
+    parameters infinities."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    paths = draw(st.lists(st.sampled_from(ADAM_PATHS), min_size=1, max_size=6, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(shape, inf=False):
+        x = np.array(rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3))
+        x[rng.random(shape) < 0.15] = -0.0
+        if inf:     # where a decay multiply by 0.0 would give nan
+            x[rng.random(shape) < 0.05] = np.inf
+        return x.astype(dtype)
+
+    shapes = {p: tuple(draw(st.lists(st.integers(1, 5), max_size=3))) for p in paths}
+    params = {p: values(shapes[p], inf=True) for p in paths}
+    loaded = {p: {"m": values(shapes[p]), "v": np.abs(values(shapes[p])),
+                  "t": draw(st.integers(1, 5))}
+              for p in paths if draw(st.booleans())}
+    steps = [{p: values(shapes[p]) for p in paths if draw(st.integers(0, 3))}
+             for _ in range(draw(st.integers(1, 3)))]
+    frozen = frozenset(p for p in paths if draw(st.integers(0, 4)) == 0)
+    factors = draw(st.sampled_from([None, {p: 0.9 ** i for i, p in enumerate(paths)}]))
+    plan = quick_plan(weight_decay=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                      adam_beta2=draw(st.sampled_from([0.999, 0.98])))
+    lr = draw(st.sampled_from([1e-3, 0.37, 5.0]))
+    return dtype, params, loaded, steps, frozen, factors, plan, lr
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=adam_cases())
+def test_adam_step_matches_the_per_tensor_oracle_bit_for_bit(case):
+    dtype, params, loaded, steps, frozen, factors, plan, lr = case
+    runs = {}
+    with ad.precision(dtype.__name__), np.errstate(invalid="ignore"):   # inf - inf
+        for step_fn in (per_tensor_adam_step, pt.adam_step):
+            tensors = {p: Tensor(a.copy(), requires_grad=True) for p, a in params.items()}
+            state = {p: {"m": s["m"].copy(), "v": s["v"].copy(), "t": s["t"]}
+                     for p, s in loaded.items()}
+            for grads in steps:
+                for p, t in tensors.items():
+                    t.grad = grads[p].copy() if p in grads else None
+                step_fn(tensors, state, lr, plan, lr_factors=factors, frozen=frozen)
+                for p, t in tensors.items():   # the step leaves gradients alone
+                    assert (t.grad is None) == (p not in grads)
+                    assert t.grad is None or t.grad.tobytes() == grads[p].tobytes()
+            runs[step_fn] = tensors, state
+    (want, want_state), (got, got_state) = runs.values()
+
+    def same_bits(a, b):    # signed zeros and nans included
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    for p, t in want.items():
+        assert t.data.dtype == dtype and same_bits(got[p].data, t.data), p
+    assert set(got_state) == set(want_state)
+    for p, slot in want_state.items():
+        assert got_state[p]["t"] == slot["t"], p
+        assert same_bits(got_state[p]["m"], slot["m"]), p
+        assert same_bits(got_state[p]["v"], slot["v"]), p
+
+
+def test_adam_non_finite_gradient_names_the_first_bad_path_and_changes_nothing():
+    tensors = {p: Tensor(np.full(3, 0.5), requires_grad=True) for p in ADAM_PATHS}
+    for t in tensors.values():
+        t.grad = np.ones(3, dtype=np.float32)
+    tensors["encoder.1.ffn.in.weight"].grad[1] = np.inf
+    tensors["heads.ner.weight"].grad[0] = np.nan
+    tensors["embeddings.token"].grad[2] = np.nan      # frozen: never read
+    want = {p: t.data.copy() for p, t in tensors.items()}
+    messages = []
+    for step_fn in (per_tensor_adam_step, pt.adam_step):
+        with pytest.raises(NumericFault) as err:
+            step_fn(tensors, {}, 0.1, quick_plan(), frozen=frozenset({"embeddings.token"}))
+        messages.append(str(err.value))
+        for p, t in tensors.items():     # the oracle updated the paths before it
+            t.data[...] = want[p]
+    assert messages == ["non-finite gradient at encoder.1.ffn.in.weight"] * 2
+    state = {}
+    with pytest.raises(NumericFault):
+        pt.adam_step(tensors, state, 0.1, quick_plan(), frozen=frozenset({"embeddings.token"}))
+    assert state == {}
+    for p, t in tensors.items():
+        assert np.array_equal(t.data, want[p]), p
+
+
 # -- metrics log ------------------------------------------------------------
 
 
@@ -635,6 +756,34 @@ def test_frozen_layers_stay_bit_identical_through_training():
         elif not np.array_equal(result.state.params[path].data, arr):
             changed.add(group)
     assert "encoder" in changed and "head" in changed
+
+
+def test_regularized_step_adds_one_mixout_node_per_parameter():
+    vocab = word_vocab(20)
+    state = tiny_state(vocab)
+    assert len(state.params) == 46      # the toy model's parameter count
+    batch = pt.BatchStream(word_corpus(vocab), vocab, quick_plan()).batch(0)
+
+    def graph_nodes(params):
+        loss = pt.pretrain_loss(params, state.config, batch, train=True)[0]
+        return sum(1 for node in ad._topo_order(loss) if node._parents)
+
+    mixed = mit.mixout_apply(state.params, mit.take_anchor(state.params), 0.9,
+                             substream(0, "mixout"))
+    assert graph_nodes(mixed) - graph_nodes(state.params) == 46
+
+
+@pytest.mark.parametrize("name", ["OR", "R3", "R3+"])
+def test_mixout_run_refuses_to_resume_past_step_zero(tmp_path, name):
+    vocab = word_vocab(20)
+    corpus = word_corpus(vocab)
+    plan = quick_plan(total_steps=6, peak_lr=5e-3, seed=11, cf=preset(name))
+    pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan, stop_step=3,
+                       checkpoint_path=tmp_path / "mid.ckpt")
+    with pytest.raises(ConfigurationError, match="mixout run cannot resume at step 3"):
+        pt.run_pretraining(ck.load_checkpoint(tmp_path / "mid.ckpt"), corpus, plan,
+                           metrics_path=tmp_path / "resumed.jsonl")
+    assert not (tmp_path / "resumed.jsonl").exists()
 
 
 def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
