@@ -831,7 +831,6 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
     params = md.copy_params(base_params)
     md.add_task_head(params, config, runner.task, runner.head_width,
                      substream(seed, "head.init"))
-    md.lay_out(params)   # with the head, before the first step's graph holds memory
     factors = llrd_factors(sorted(params), plan.llrd_decay, config.n_layers)
     opt_state = {}
     train_rows = runner.features["train"]

@@ -305,9 +305,10 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
               lr_factors: dict = None, frozen=frozenset()) -> None:
     """Adam with bias correction and decoupled weight decay (norms and biases
     excluded), as whole-array operations over the arena of `params`
-    (`model.lay_out`). Parameters without a gradient this step are untouched
-    — frozen paths therefore keep their values and their optimizer state. A
-    path's slot is made on its first update; its m and v are arena views."""
+    (`model.lay_out`; the first step moves them there). Parameters without a
+    gradient this step are untouched — frozen paths therefore keep their
+    values and their optimizer state. A path's slot is made on its first
+    update; its m and v are arena views."""
     paths = sorted(params)
     ts = [params[p] for p in paths]
     live = [p not in frozen and t.requires_grad and t.grad is not None
@@ -342,13 +343,14 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
 
     mul, add, div = (partial(f, where=on) for f in (np.multiply, np.add, np.divide))
     b1, b2, (w, m, v), tmp = plan.adam_beta1, plan.adam_beta2, arena, np.empty_like(g)
+    # the per-tensor update's expressions in its order, so the bits are its bits
     add(mul(m, b1, out=m), mul(g, 1.0 - b1, out=tmp), out=m)
     add(mul(v, b2, out=v), mul(mul(g, 1.0 - b2, out=tmp), g, out=tmp), out=v)
     v_hat = div(v, per_path(lambda p: 1.0 - b2 ** state[p]["t"]), out=tmp)
     denom = add(np.sqrt(v_hat, out=tmp, where=on), plan.adam_eps, out=tmp)
     update = div(div(m, per_path(lambda p: 1.0 - b1 ** state[p]["t"]), out=g), denom, out=g)
     if plan.weight_decay:
-        # a select, not a multiply by 0.0, which would add +0.0 to a -0.0 update
+        # a select, not a multiply by 0.0, which is nan at an infinite weight
         decay = np.repeat([not md.is_no_decay(p) for p in paths], sizes)
         np.add(update, np.multiply(w, plan.weight_decay, out=tmp, where=decay), out=update,
                where=decay)
@@ -498,7 +500,6 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
                        step=start, lineage=lineage,
                        optimizer_state={p: dict(slot)
                                         for p, slot in init.optimizer_state.items()})
-    md.lay_out(state.params)   # before the first step's graph holds memory
 
     train_corpus, heldout = split_heldout(corpus, plan.heldout_fraction)
     held_sentences = [s for doc in heldout.documents for s in doc][: plan.eval_sentences]
