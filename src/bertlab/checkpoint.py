@@ -39,7 +39,7 @@ _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
 def _dtype_tag(arr: np.ndarray) -> str:
-    tag = "<" + arr.dtype.char + str(arr.dtype.itemsize)
+    tag = "<" + arr.dtype.kind + str(arr.dtype.itemsize)
     if tag not in _DTYPES:
         raise ConfigurationError(f"unsupported tensor dtype {arr.dtype}")
     return tag

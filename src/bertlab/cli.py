@@ -286,26 +286,19 @@ def cmd_eval_mlm(cfg: dict, log: RunLog, out: str) -> int:
     return 0
 
 
-_TASK_LOADERS = {"ner": ft.load_ner, "qa": ft.load_qa, "re": ft.load_re}
 _TASK_KEYS = {"data", "train", "dev", "test", "negative_label"}
 
 
 def _load_task_dataset(task: str, spec: dict, seed: int) -> ft.TaskDataset:
-    loader = _TASK_LOADERS[task]
-    negative = spec.get("negative_label")
+    load = ft.TASKS[task].load
     if "data" in spec:
-        examples = loader(_require_file(spec["data"], f"{task} data"))
-        train, dev, test = ft.split_dataset(examples, seed)
+        splits = ft.split_dataset(load(_require_file(spec["data"], f"{task} data")), seed)
+    elif {"train", "dev", "test"} <= set(spec):
+        splits = [load(_require_file(spec[split], f"{task} {split}"))
+                  for split in ("train", "dev", "test")]
     else:
-        for split in ("train", "dev", "test"):
-            if split not in spec:
-                raise ConfigurationError(
-                    f"task {task!r} needs 'data' or all of train/dev/test")
-        train = loader(_require_file(spec["train"], f"{task} train"))
-        dev = loader(_require_file(spec["dev"], f"{task} dev"))
-        test = loader(_require_file(spec["test"], f"{task} test"))
-    return ft.TaskDataset(task=task, train=train, dev=dev, test=test,
-                          negative_label=negative)
+        raise ConfigurationError(f"task {task!r} needs 'data' or all of train/dev/test")
+    return ft.TaskDataset(task, *splits, negative_label=spec.get("negative_label"))
 
 
 def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
@@ -314,7 +307,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
     tasks = _section(cfg, "tasks")
     if not tasks:
         raise ConfigurationError("finetune requires a 'tasks' section")
-    unknown = set(tasks) - set(_TASK_LOADERS)
+    unknown = set(tasks) - set(ft.TASKS)
     if unknown:
         raise ConfigurationError(f"unknown tasks: {sorted(unknown)}")
     section = _section(cfg, "finetune")
@@ -367,7 +360,7 @@ def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
 def cmd_realign(cfg: dict, log: RunLog, out: str) -> int:
     section = _section(cfg, "realign")
     task = _require(section, "task", "realign")
-    if task not in _TASK_LOADERS:
+    if task not in ft.TASKS:
         raise ConfigurationError(f"unknown realign task {task!r}")
     translator = dp.make_translator(_require(section, "translator", "realign"),
                                     **_section(section, "options"))
@@ -375,23 +368,21 @@ def cmd_realign(cfg: dict, log: RunLog, out: str) -> int:
     log.line(f"task: {task}")
     log.line(f"translator: {translator.name}")
 
-    loader = _TASK_LOADERS[task]
-    savers = {"ner": ft.save_ner, "qa": ft.save_qa, "re": ft.save_re}
-    suffix = {"ner": "conll", "qa": "jsonl", "re": "jsonl"}[task]
+    spec = ft.TASKS[task]
     reports = {}
     if "data" in section:
-        examples = loader(_require_file(section["data"], "realign data"))
+        examples = spec.load(_require_file(section["data"], "realign data"))
         kept, report = dp.realign_examples(examples, translator)
-        out_path = os.path.join(out, f"{task}.realigned.{suffix}")
-        savers[task](kept, out_path)
+        out_path = os.path.join(out, f"{task}.realigned.{spec.suffix}")
+        spec.save(kept, out_path)
         reports["data"] = report
         log.line(f"wrote {len(kept)} of {report.total} examples -> {out_path}")
     else:
         dataset = _load_task_dataset(task, section, cfg["seed"])
         translated, reports = dp.realign_dataset(dataset, translator)
         for split in ("train", "dev", "test"):
-            out_path = os.path.join(out, f"{task}.{split}.{suffix}")
-            savers[task](getattr(translated, split), out_path)
+            out_path = os.path.join(out, f"{task}.{split}.{spec.suffix}")
+            spec.save(getattr(translated, split), out_path)
             log.line(f"wrote {len(getattr(translated, split))} "
                      f"{split} examples -> {out_path}")
     _write_json(os.path.join(out, "report.json"),

@@ -401,16 +401,16 @@ def _realign_re(example, translator, stats):
     return ft.ReExample(uid=example.uid, text=rebuilt, relation=example.relation)
 
 
+_REALIGNERS = {ft.NerExample: _realign_ner, ft.QaExample: _realign_qa,
+               ft.ReExample: _realign_re}
+
+
 def realign_example(example, translator, stats: Counter = None):
     """Translated example with corrected annotation indices, or Dropped."""
-    stats = Counter() if stats is None else stats
-    if isinstance(example, ft.NerExample):
-        return _realign_ner(example, translator, stats)
-    if isinstance(example, ft.QaExample):
-        return _realign_qa(example, translator, stats)
-    if isinstance(example, ft.ReExample):
-        return _realign_re(example, translator, stats)
-    raise InputError(f"cannot realign {type(example).__name__}")
+    realign = _REALIGNERS.get(type(example))
+    if realign is None:
+        raise InputError(f"cannot realign {type(example).__name__}")
+    return realign(example, translator, Counter() if stats is None else stats)
 
 
 # ---------------------------------------------------------------------------

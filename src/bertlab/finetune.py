@@ -2,8 +2,9 @@
 span selection, and relation classification, trained end-to-end on top of the
 encoder and scored with the five-seed mean/sd protocol.
 
-Every random decision is drawn from a substream named by (seed, purpose), so
-a report is a pure function of (initial state, dataset, plan, seed list).
+Each task is one `TASKS` record. Every random decision is drawn from a
+substream named by (seed, purpose), so a report is a pure function of
+(initial state, dataset, plan, seed list).
 Entity F1 is micro-averaged exact span+label match; QA F1 is bag-of-tokens
 overlap against the best-matching gold answer; RE F1 is micro-averaged over
 the positive relation classes only.
@@ -14,6 +15,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +33,6 @@ from .pretrain import (IGNORE_INDEX, _resolve_init, adam_step,  # noqa: F401
 from .seeding import substream
 from .tokenizer import (Vocabulary, _is_punct, encode, encode_with_offsets,
                         normalize)
-
-TASKS = ("ner", "qa", "re")
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +92,6 @@ class NerExample:
             if b.start < a.end:
                 raise ValidationError(f"{self.uid}: overlapping spans", items=[a, b])
 
-    @property
-    def entity_labels(self):
-        return {t[2:] for t in self.tags if t != "O"}
-
 
 @dataclass(frozen=True)
 class Answer:
@@ -149,7 +145,8 @@ class TaskDataset:
 
     def __post_init__(self):
         if self.task not in TASKS:
-            raise ConfigurationError(f"unknown task {self.task!r}; expected one of {TASKS}")
+            raise ConfigurationError(
+                f"unknown task {self.task!r}; expected one of {tuple(TASKS)}")
         for name in ("train", "dev", "test"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
@@ -173,24 +170,13 @@ def split_dataset(examples, seed: int, fractions=(0.8, 0.1, 0.1)):
             tuple(picked[n_train + n_dev:]))
 
 
-def _label_set(task: str, examples, negative_label=None) -> set:
-    if task == "ner":
-        out = set()
-        for ex in examples:
-            out |= ex.entity_labels
-        return out
-    if task == "re":
-        return {ex.relation for ex in examples} - {negative_label}
-    return set()
-
-
 def check_label_coverage(dataset: TaskDataset) -> None:
-    """Dev/test labels must all occur in train; anything else cannot be
-    learned and points at a split mistake."""
-    train = _label_set(dataset.task, dataset.train, dataset.negative_label)
+    """Every dev/test label must be one the head learns from train; anything
+    else cannot be learned and points at a split mistake."""
+    labels = TASKS[dataset.task].labels
+    train = labels(dataset.train, dataset.negative_label)
     for name in ("dev", "test"):
-        extra = _label_set(dataset.task, getattr(dataset, name),
-                           dataset.negative_label) - train
+        extra = labels(getattr(dataset, name), dataset.negative_label) - train
         if extra:
             raise ConfigurationError(
                 f"{name} split has labels never seen in train: {sorted(extra)}")
@@ -445,12 +431,16 @@ def re_f1(gold, predicted, negative_label=None) -> PRF:
 # ---------------------------------------------------------------------------
 
 
+_ONE_SEGMENT = property(lambda self: (0,) * len(self.ids))   # one sentence, segment 0
+
+
 @dataclass(frozen=True)
 class NerFeature:
     ids: tuple
     labels: tuple           # per piece; IGNORE on specials and continuations
     word_positions: tuple   # row index of each included word's first piece
     gold_spans: tuple       # over all words, including any truncated away
+    segments = _ONE_SEGMENT
 
 
 @dataclass(frozen=True)
@@ -469,6 +459,7 @@ class QaFeature:
 class ReFeature:
     ids: tuple
     label: int
+    segments = _ONE_SEGMENT
 
 
 def featurize_ner(example: NerExample, vocab: Vocabulary, label_ids: dict,
@@ -714,113 +705,128 @@ class FinetuneResult:
     checkpoint_paths: tuple = ()
 
 
+@dataclass(frozen=True)
+class TaskSpec:
+    """How one downstream task behaves. Its functions look the featurizers
+    and `md.*_logits` heads up when called, never binding them here, so a
+    patched module global (perfbench's tracer) is what runs."""
+    load: Callable        # path -> tuple of examples
+    save: Callable        # (examples, path) -> None
+    suffix: str           # file suffix of what `save` writes
+    labels: Callable      # (examples, negative_label) -> set the head predicts
+    featurize: Callable   # (example, vocab, label_ids, max_seq_len) -> feature
+    head_width: Callable  # sorted labels -> width of the head
+    loss: Callable        # (encoder output, params, features) -> scalar Tensor
+    evaluate: Callable    # (runner, params, features) -> PRF
+
+
+def _qa_loss(hidden, params, rows) -> Tensor:
+    start_logits, end_logits = md.qa_logits(hidden, params)
+    targets = np.array([f.target or (IGNORE_INDEX, IGNORE_INDEX) for f in rows], np.int64)
+    return ad.scale(ad.add(ad.cross_entropy(start_logits, targets[:, 0]),
+                           ad.cross_entropy(end_logits, targets[:, 1])), 0.5)
+
+
+def _ner_evaluate(runner, params, rows) -> PRF:
+    gold, predicted = [], []
+    for chunk in runner.batches(rows):
+        logits = md.ner_logits(runner.forward(params, chunk), params).data
+        picked = np.argmax(logits, axis=-1)
+        for i, f in enumerate(chunk):
+            tags = [runner.labels[picked[i, pos]] for pos in f.word_positions]
+            gold.append(f.gold_spans)
+            predicted.append(bio_decode(tags))
+    return ner_f1(gold, predicted)
+
+
+def _qa_evaluate(runner, params, rows) -> PRF:
+    scores = []
+    for chunk in runner.batches(rows):
+        start_logits, end_logits = md.qa_logits(runner.forward(params, chunk), params)
+        for i, f in enumerate(chunk):
+            lo, hi = f.context_range
+            s, e = best_span(start_logits.data[i], end_logits.data[i],
+                             lo, hi, runner.plan.max_answer_pieces)
+            text = f.norm_context[f.offsets[s - lo][0]: f.offsets[e - lo][1]]
+            scores.append(qa_scores(f.gold_texts, text))
+    n = len(scores)
+    return PRF(sum(s.precision for s in scores) / n,
+               sum(s.recall for s in scores) / n,
+               sum(s.f1 for s in scores) / n)
+
+
+def _re_evaluate(runner, params, rows) -> PRF:
+    gold, predicted = [], []
+    for chunk in runner.batches(rows):
+        picked = np.argmax(md.re_logits(runner.forward(params, chunk), params).data,
+                           axis=-1)
+        for i, f in enumerate(chunk):
+            gold.append(runner.labels[f.label])
+            predicted.append(runner.labels[picked[i]])
+    return re_f1(gold, predicted, negative_label=runner.dataset.negative_label)
+
+
+TASKS = {
+    "ner": TaskSpec(
+        load=load_ner, save=save_ner, suffix="conll",
+        labels=lambda examples, _: {t for ex in examples for t in ex.tags},
+        featurize=lambda *args: featurize_ner(*args), head_width=len,
+        loss=lambda hidden, params, rows: ad.cross_entropy(
+            md.ner_logits(hidden, params), pad_rows([f.labels for f in rows], IGNORE_INDEX)),
+        evaluate=_ner_evaluate),
+    "qa": TaskSpec(
+        load=load_qa, save=save_qa, suffix="jsonl", labels=lambda examples, _: set(),
+        featurize=lambda example, vocab, _, max_seq_len: featurize_qa(
+            example, vocab, max_seq_len),
+        head_width=lambda labels: 2, loss=_qa_loss, evaluate=_qa_evaluate),
+    "re": TaskSpec(
+        load=load_re, save=save_re, suffix="jsonl",
+        labels=lambda examples, negative_label: (
+            {ex.relation for ex in examples} | ({negative_label} - {None})),
+        featurize=lambda *args: featurize_re(*args), head_width=len,
+        loss=lambda hidden, params, rows: ad.cross_entropy(
+            md.re_logits(hidden, params), np.array([f.label for f in rows], dtype=np.int64)),
+        evaluate=_re_evaluate),
+}
+
+
 class _TaskRunner:
     """Featurization, loss, and evaluation for one task over one dataset."""
 
     def __init__(self, dataset: TaskDataset, state: ModelState, plan: FinetunePlan):
         self.task = dataset.task
+        self.spec = TASKS[dataset.task]
         self.dataset = dataset
         self.config = state.config
         self.vocab = state.vocab
         self.plan = plan
-        if self.task == "ner":
-            labels = sorted({t for ex in dataset.train for t in ex.tags})
-            self.labels = labels
-            self.label_ids = {t: i for i, t in enumerate(labels)}
-            feat = lambda ex: featurize_ner(ex, self.vocab, self.label_ids,
-                                            plan.max_seq_len)
-        elif self.task == "re":
-            labels = sorted({ex.relation for ex in dataset.train})
-            self.labels = labels
-            self.label_ids = {t: i for i, t in enumerate(labels)}
-            feat = lambda ex: featurize_re(ex, self.vocab, self.label_ids,
-                                           plan.max_seq_len)
-        else:
-            self.labels = []
-            feat = lambda ex: featurize_qa(ex, self.vocab, plan.max_seq_len)
-        self.features = {name: [feat(ex) for ex in getattr(dataset, name)]
+        self.labels = sorted(self.spec.labels(dataset.train, dataset.negative_label))
+        self.head_width = self.spec.head_width(self.labels)
+        label_ids = {t: i for i, t in enumerate(self.labels)}
+        self.features = {name: [self.spec.featurize(ex, self.vocab, label_ids,
+                                                    plan.max_seq_len)
+                                for ex in getattr(dataset, name)]
                          for name in ("train", "dev", "test")}
 
-    @property
-    def head_width(self):
-        return {"ner": len(self.labels), "qa": 2, "re": len(self.labels)}[self.task]
-
     def forward(self, params, rows, train=False, rng=None) -> Tensor:
-        """Encoder output for a batch of features, padded to its longest row;
-        QA rows carry their segment ids, every other task uses segment 0."""
+        """Encoder output for a batch of features, padded to its longest row."""
         ids = pad_rows([f.ids for f in rows], self.vocab.pad_id)
         mask = pad_rows([[1] * len(f.ids) for f in rows], 0)
-        segments = (pad_rows([f.segments for f in rows], 0) if self.task == "qa"
-                    else np.zeros_like(ids))
+        segments = pad_rows([f.segments for f in rows], 0)
         return md.forward_encoder(params, self.config, ids, segments, mask,
                                   train=train, rng=rng)
 
     def loss(self, params, rows, train=False, rng=None):
-        hidden = self.forward(params, rows, train=train, rng=rng)
-        if self.task == "ner":
-            labels = pad_rows([f.labels for f in rows], IGNORE_INDEX)
-            return ad.cross_entropy(md.ner_logits(hidden, params), labels)
-        if self.task == "re":
-            labels = np.array([f.label for f in rows], dtype=np.int64)
-            return ad.cross_entropy(md.re_logits(hidden, params), labels)
-        start_logits, end_logits = md.qa_logits(hidden, params)
-        starts = np.full(len(rows), IGNORE_INDEX, dtype=np.int64)
-        ends = np.full(len(rows), IGNORE_INDEX, dtype=np.int64)
-        for i, f in enumerate(rows):
-            if f.target is not None:
-                starts[i], ends[i] = f.target
-        return ad.scale(ad.add(ad.cross_entropy(start_logits, starts),
-                               ad.cross_entropy(end_logits, ends)), 0.5)
+        return self.spec.loss(self.forward(params, rows, train=train, rng=rng),
+                              params, rows)
 
     def evaluate(self, params, split: str) -> PRF:
-        rows = self.features[split]
         with ad.no_grad():
-            if self.task == "ner":
-                return self._eval_ner(params, rows)
-            if self.task == "re":
-                return self._eval_re(params, rows)
-            return self._eval_qa(params, rows)
+            return self.spec.evaluate(self, params, self.features[split])
 
-    def _batches(self, rows):
+    def batches(self, rows):
         for i in range(0, len(rows), self.plan.batch_size):
             yield rows[i: i + self.plan.batch_size]
-
-    def _eval_ner(self, params, rows) -> PRF:
-        gold, predicted = [], []
-        for chunk in self._batches(rows):
-            logits = md.ner_logits(self.forward(params, chunk), params).data
-            picked = np.argmax(logits, axis=-1)
-            for i, f in enumerate(chunk):
-                tags = [self.labels[picked[i, pos]] for pos in f.word_positions]
-                gold.append(f.gold_spans)
-                predicted.append(bio_decode(tags))
-        return ner_f1(gold, predicted)
-
-    def _eval_re(self, params, rows) -> PRF:
-        neg = self.dataset.negative_label
-        gold, predicted = [], []
-        for chunk in self._batches(rows):
-            picked = np.argmax(md.re_logits(self.forward(params, chunk), params).data,
-                               axis=-1)
-            for i, f in enumerate(chunk):
-                gold.append(self.labels[f.label])
-                predicted.append(self.labels[picked[i]])
-        return re_f1(gold, predicted, negative_label=neg)
-
-    def _eval_qa(self, params, rows) -> PRF:
-        scores = []
-        for chunk in self._batches(rows):
-            start_logits, end_logits = md.qa_logits(self.forward(params, chunk), params)
-            for i, f in enumerate(chunk):
-                lo, hi = f.context_range
-                s, e = best_span(start_logits.data[i], end_logits.data[i],
-                                 lo, hi, self.plan.max_answer_pieces)
-                text = f.norm_context[f.offsets[s - lo][0]: f.offsets[e - lo][1]]
-                scores.append(qa_scores(f.gold_texts, text))
-        n = len(scores)
-        return PRF(sum(s.precision for s in scores) / n,
-                   sum(s.recall for s in scores) / n,
-                   sum(s.f1 for s in scores) / n)
 
 
 def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePlan,
@@ -843,6 +849,7 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
             loss = runner.loss(params, rows, train=True,
                                rng=substream(seed, f"dropout.{epoch}.{b}"))
             train_step(loss, params, opt_state, plan.lr, plan, factors)
+            del loss   # free this step's graph before the next forward pass
         dev = runner.evaluate(params, "dev")
         if dev.f1 > best[0]:
             best = (dev.f1, epoch, {p: t.data.copy() for p, t in params.items()})

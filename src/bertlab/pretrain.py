@@ -534,6 +534,7 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
                 rng=substream(plan.seed, f"dropout.{step}"))
             train_step(loss, state.params, state.optimizer_state, lr, plan, factors,
                        frozen)
+            del loss   # free this step's graph before the next forward pass
             pppl_value = None
             if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
                 pppl_value = heldout_pppl(state, held_sentences)

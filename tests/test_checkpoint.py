@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bertlab import autodiff as ad
 from bertlab import checkpoint as ck
 from bertlab import model as md
 from bertlab.autodiff import Tensor
@@ -93,6 +94,27 @@ def test_round_trip_is_bit_identical(saved):
         np.testing.assert_array_equal(got["m"], slot["m"])
         np.testing.assert_array_equal(got["v"], slot["v"])
         assert got["t"] == 3
+
+
+def test_float64_state_round_trips_bit_for_bit(tmp_path):
+    vocab = word_vocab(20)
+    path = tmp_path / "f64.ckpt"
+    with ad.precision("float64"):
+        config, params = tiny_model(vocab, n_layers=1)
+        opt = {"embeddings.token": {"m": params["embeddings.token"].data / 3,
+                                    "v": params["embeddings.token"].data ** 2, "t": 2}}
+        cid = ck.save_checkpoint(path, md.ModelState(config=config, params=params,
+                                                     vocab=vocab, optimizer_state=opt))
+        loaded = ck.load_checkpoint(path)
+    assert loaded.checkpoint_id == cid
+    assert set(loaded.params) == set(params)
+    for p, t in params.items():
+        assert t.data.dtype == loaded.params[p].data.dtype == np.float64, p
+        assert loaded.params[p].data.tobytes() == t.data.tobytes(), p
+    for k in ("m", "v"):
+        got = loaded.optimizer_state["embeddings.token"][k]
+        assert got.dtype == np.float64
+        assert got.tobytes() == opt["embeddings.token"][k].tobytes()
 
 
 def test_reserialization_of_unmodified_model_keeps_the_hash(saved, tmp_path):

@@ -3,6 +3,8 @@ format round-trips, featurization layouts, and the five-seed protocol."""
 
 import json
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bertlab import model as md
 from bertlab import pretrain as pt
 from bertlab import tokenizer as tk
 from bertlab.autodiff import Tensor
+from bertlab.cli import entrypoint
 from bertlab.errors import ConfigurationError, InputError, ValidationError
 from bertlab.seeding import substream
 from statecheck import assert_same_state
@@ -619,6 +622,29 @@ def test_finetune_rejects_uncovered_labels(state):
         ft.finetune_task(state, ds, ft.FinetunePlan(max_seq_len=32), seeds=(1,))
 
 
+def test_continuation_tag_unseen_in_train_is_a_configuration_error(state):
+    # the entity type is covered by train, its I- tag is not: the head has
+    # no column for it
+    train = tuple(ft.NerExample(uid=f"t{i}", tokens=("aspirin", "daily"),
+                                tags=("B-Drug", "O")) for i in range(4))
+    dev = (ft.NerExample(uid="d", tokens=("aspirin", "dose"), tags=("B-Drug", "I-Drug")),)
+    ds = ft.TaskDataset(task="ner", train=train, dev=dev, test=train[:1])
+    with pytest.raises(ConfigurationError, match="I-Drug"):
+        ft.finetune_task(state, ds, ft.FinetunePlan(max_seq_len=32), seeds=(1,))
+
+
+def test_negative_label_absent_from_train_still_trains(state):
+    ds = re_dataset()
+    positive = tuple(ex for ex in ds.train if ex.relation != "none")
+    trimmed = ft.TaskDataset(task="re", train=positive, dev=ds.dev, test=ds.test,
+                             negative_label="none")
+    plan = ft.FinetunePlan(epochs=1, lr=5e-3, batch_size=8, max_seq_len=32)
+    result = ft.finetune_task(state, trimmed, plan, seeds=(1,))
+    # the head predicts the negative class too: one column per label
+    assert result.states[0].params["heads.re.weight"].shape == (state.config.hidden_dim, 2)
+    assert 0.0 <= result.report.mean_f1 <= 1.0
+
+
 QUICK = dict(lr=5e-3, batch_size=8, max_seq_len=32)
 
 
@@ -698,6 +724,78 @@ def test_finetune_from_checkpoint_lineage(state, ner_dataset, tmp_path):
         assert not ckpt.verify_lineage(child, parent)
         assert_same_state(seed_state, child)
     assert_same_state(parent, ckpt.load_checkpoint(parent_path))
+
+
+def test_previous_step_graph_is_freed_before_the_next_forward(monkeypatch, state,
+                                                             ner_dataset):
+    previous, full = [], ft._TaskRunner.loss
+
+    def watched(runner, *args, **kwargs):
+        assert all(ref() is None for ref in previous), "last step's graph is alive"
+        loss = full(runner, *args, **kwargs)
+        previous.append(weakref.ref(loss.data))   # a Tensor has no weakref slot
+        return loss
+    monkeypatch.setattr(ft._TaskRunner, "loss", watched)
+    ft.finetune_task(state, ner_dataset, ft.FinetunePlan(epochs=2, **QUICK), seeds=(1,))
+    assert len(previous) == 2 * math.ceil(len(ner_dataset.train) / QUICK["batch_size"])
+
+
+def test_tasks_call_featurizers_and_heads_through_their_modules(monkeypatch, state,
+                                                                ner_dataset):
+    # perfbench's tracer patches these module globals; a task record that
+    # bound the function objects at import time would bypass the patch
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+    for module, name in ((ft, "featurize_ner"), (ft, "featurize_qa"), (ft, "featurize_re"),
+                         (md, "ner_logits"), (md, "qa_logits"), (md, "re_logits")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    plan = ft.FinetunePlan(epochs=1, **QUICK)
+    for dataset in (ner_dataset, qa_dataset(), re_dataset()):
+        splits = (dataset.train, dataset.dev, dataset.test)
+        expected = Counter({f"featurize_{dataset.task}": sum(map(len, splits)),
+                            # one head call per train step and per evaluated batch
+                            f"{dataset.task}_logits": sum(
+                                math.ceil(len(split) / plan.batch_size) for split in splits)})
+        calls.clear()
+        ft.finetune_task(state, dataset, plan, seeds=(1,))
+        assert calls == expected, dataset.task
+
+
+def test_task_records_round_trip_files_and_drive_the_cli(monkeypatch, state, tmp_path):
+    ner = tuple(ft.NerExample(ex.uid, ex.tokens, ex.tags,
+                              *ft._ner_text_from_tokens(ex.tokens, ex.tags))
+                for ex in drug_sentences(6))
+    examples = {"ner": ner, "qa": qa_dataset().train, "re": re_dataset().train}
+    assert set(ft.TASKS) == set(examples)
+    for name, spec in ft.TASKS.items():
+        path = tmp_path / f"{name}.{spec.suffix}"
+        spec.save(examples[name], path)
+        assert spec.load(path) == examples[name], name
+
+    # the CLI knows exactly the tasks TASKS names
+    ckpt.save_checkpoint(tmp_path / "base.ckpt", state)
+    ft.save_ner(ner, tmp_path / "data.conll")
+
+    def run(command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, **cfg}), encoding="utf-8")
+        extra = ["--checkpoint", str(tmp_path / "base.ckpt")] if command == "finetune" else []
+        return entrypoint([command, "--config", str(path), "--out",
+                           str(tmp_path / f"out.{command}"), *extra])
+    monkeypatch.setitem(ft.TASKS, "alias", ft.TASKS["ner"])
+    monkeypatch.delitem(ft.TASKS, "ner")
+    data = str(tmp_path / "data.conll")
+    assert run("finetune", {"tasks": {"ner": {"data": data}}}) == 3
+    assert run("realign", {"realign": {"task": "ner", "translator": "identity",
+                                       "data": data}}) == 3
+    assert run("realign", {"realign": {"task": "alias", "translator": "identity",
+                                       "data": data}}) == 0
+    assert ft.load_ner(tmp_path / "out.realign" / "alias.realigned.conll") == ner
 
 
 def test_patience_stops_early(state):

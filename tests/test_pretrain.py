@@ -4,6 +4,7 @@ values, the step-0 loss at ln(V)+ln 2, a real training-improvement run, and
 bit-identical resume from a checkpoint."""
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -692,6 +693,22 @@ def test_same_seed_runs_are_bit_identical():
     for path, t in r1.state.params.items():
         np.testing.assert_array_equal(t.data, r2.state.params[path].data)
     assert r1.metrics == r2.metrics
+
+
+def test_previous_step_graph_is_freed_before_the_next_forward(monkeypatch):
+    # holding the last step's loss holds its whole graph: activations and
+    # every node's gradient stay alive through the next forward pass
+    vocab = word_vocab(20)
+    previous, full = [], md.forward_encoder
+
+    def watched(*args, **kwargs):
+        assert all(ref() is None for ref in previous), "last step's graph is alive"
+        hidden = full(*args, **kwargs)
+        previous.append(weakref.ref(hidden.data))   # a Tensor has no weakref slot
+        return hidden
+    monkeypatch.setattr(md, "forward_encoder", watched)
+    pt.run_pretraining(tiny_state(vocab), word_corpus(vocab), quick_plan(total_steps=3))
+    assert len(previous) == 3
 
 
 def test_vocabulary_fingerprint_mismatch_is_configuration_error():
