@@ -297,10 +297,7 @@ def _spans_overlap(located) -> bool:
 
 
 def _realign_ner(example, translator, stats):
-    if example.text is not None:
-        source_text, spans = example.text, example.spans
-    else:
-        source_text, spans = ft._ner_text_from_tokens(example.tokens, example.tags)
+    source_text, spans = example.text, example.spans
     translated = _translated(translator, source_text)
     if not translated.strip():
         return Dropped(example.uid, "empty_translation")

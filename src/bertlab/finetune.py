@@ -58,14 +58,17 @@ class Span:
     label: str
 
     def __post_init__(self):
+        if type(self.start) is not int or type(self.end) is not int:
+            raise ValidationError(f"span [{self.start!r}, {self.end!r}) needs integer offsets")
         if not 0 <= self.start < self.end:
             raise ValidationError(f"span [{self.start}, {self.end}) is empty or negative")
 
 
 @dataclass(frozen=True)
 class NerExample:
-    """One sentence: words with BIO tags, plus optional character-level spans
-    over `text` kept for dataset translation round-trips."""
+    """One sentence: words with BIO tags, plus character-level spans over
+    `text` kept for dataset translation round-trips. Without a text, the
+    space-joined words are the text and the spans come from the tags."""
     uid: str
     tokens: tuple
     tags: tuple
@@ -83,10 +86,15 @@ class NerExample:
         bad = [t for t in self.tags if not _valid_bio(t)]
         if bad:
             raise ValidationError(f"{self.uid}: malformed BIO tags", items=bad)
-        if self.text is not None:
-            for s in self.spans:
-                if s.end > len(self.text):
-                    raise ValidationError(f"{self.uid}: span past end of text", items=[s])
+        if self.text is None:
+            if self.spans:
+                raise ValidationError(f"{self.uid}: spans without the text they index")
+            text, spans = _ner_text_from_tokens(self.tokens, self.tags)
+            object.__setattr__(self, "text", text)
+            object.__setattr__(self, "spans", spans)
+        for s in self.spans:
+            if s.end > len(self.text):
+                raise ValidationError(f"{self.uid}: span past end of text", items=[s])
         ordered = sorted(self.spans, key=lambda s: s.start)
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
@@ -114,6 +122,8 @@ class QaExample:
         if not self.answers:
             raise ValidationError(f"{self.uid}: no gold answers")
         for a in self.answers:
+            if type(a.answer_start) is not int:
+                raise ValidationError(f"{self.uid}: answer_start must be an integer", items=[a])
             if not (0 <= a.answer_start and
                     a.answer_start + len(a.text) <= len(self.context)):
                 raise ValidationError(f"{self.uid}: answer span out of bounds", items=[a])
@@ -230,10 +240,8 @@ def load_ner(path):
     for i, (sentence, side) in enumerate(zip(sentences, sidecars)):
         tokens = tuple(t for t, _ in sentence)
         tags = tuple(g for _, g in sentence)
-        if side is None:
-            text, spans = _ner_text_from_tokens(tokens, tags)
-            uid = f"s{i}"
-        else:
+        uid, text, spans = f"s{i}", None, ()
+        if side is not None:
             try:
                 uid = side["id"]
                 text = side["text"]
@@ -270,7 +278,7 @@ def save_ner(examples, path) -> None:
                                        for token, tag in zip(ex.tokens, ex.tags))
                                for ex in examples))
     _save_jsonl(str(path) + ".spans", (
-        {"id": ex.uid, "text": ex.text if ex.text is not None else " ".join(ex.tokens),
+        {"id": ex.uid, "text": ex.text,
          "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in ex.spans]}
         for ex in examples))
 
@@ -834,11 +842,11 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
     """(SeedRun, trained copy of base_params plus the task head at the
     dev-best epoch)."""
     config = runner.config
-    params = md.copy_params(base_params)
+    params = dict(base_params)
     md.add_task_head(params, config, runner.task, runner.head_width,
                      substream(seed, "head.init"))
+    params, opt_state = md.copy_params(params)
     factors = llrd_factors(sorted(params), plan.llrd_decay, config.n_layers)
-    opt_state = {}
     train_rows = runner.features["train"]
     best = (-1.0, -1, None)
     stale = 0

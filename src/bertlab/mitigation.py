@@ -113,9 +113,9 @@ def llrd_factors(paths, decay, n_layers: int) -> dict:
 
 
 def frozen_paths(paths, k, n_layers: int) -> frozenset:
-    """Paths of the k deepest encoder layers plus embeddings. Frozen parameters
-    are skipped by the optimizer entirely, so neither gradients nor weight
-    decay can move them and their optimizer state stays at initialization."""
+    """Paths of the k deepest encoder layers plus embeddings. A run turns their
+    requires_grad off, so no gradient and no weight decay moves them and their
+    optimizer state stays at initialization."""
     if not k:
         return frozenset()
     if k > n_layers:
@@ -133,15 +133,13 @@ def frozen_paths(paths, k, n_layers: int) -> frozenset:
 # ---------------------------------------------------------------------------
 
 
-def take_anchor(params: dict) -> dict:
-    """Frozen copies of the current parameter values: views into one copy of
-    the parameters laid end to end in sorted-path order (their arena)."""
-    tensors = [params[p] for p in sorted(params)]
-    flat = np.concatenate([t.data.reshape(-1) for t in tensors])
-    return dict(zip(sorted(params), ad.flat_views(flat, tensors)))
+def take_anchor(params: dict) -> np.ndarray:
+    """A copy of the current parameter values, laid end to end in sorted-path
+    order (the order of their arena) in one flat array."""
+    return np.concatenate([params[p].data.reshape(-1) for p in sorted(params)])
 
 
-def mixout_apply(current: dict, anchor: dict, p, rng: np.random.Generator) -> dict:
+def mixout_apply(current: dict, anchor: np.ndarray, p, rng: np.random.Generator) -> dict:
     """Effective parameters for one forward pass: each element keeps the
     current value with probability 1-p, else takes the anchor value, rescaled
     so the expectation equals the current value:
@@ -149,23 +147,21 @@ def mixout_apply(current: dict, anchor: dict, p, rng: np.random.Generator) -> di
         out = (mask * current + (1 - mask) * anchor - p * anchor) / (1 - p)
 
     Gradients flow to the current parameters through the mask (factor
-    mask/(1-p)); the anchor is a constant. One draw of uniforms covers the
-    anchored paths in sorted order, the numbers per-tensor draws in that
-    order would give, and each path becomes one graph node.
+    mask/(1-p)); the anchor (`take_anchor`) is a constant. One draw of
+    uniforms covers every path in sorted order, the numbers per-tensor draws
+    in that order would give, and each path becomes one graph node.
     """
     if p is None or p == 0.0:
         return current
     if not 0.0 <= p < 1.0:
         raise ConfigurationError(f"mixout p {p} outside [0, 1)")
-    paths = sorted(anchor)
-    for path in paths:
-        if anchor[path].shape != current[path].shape:
-            raise ConfigurationError(f"mixout anchor shape mismatch at {path}: "
-                                     f"{anchor[path].shape} vs {current[path].shape}")
+    paths = sorted(current)
     ts = [current[path] for path in paths]
-    ref = np.concatenate([anchor[path].reshape(-1) for path in paths])
-    mask = (rng.random(ref.size) >= p).astype(ts[0].data.dtype)
-    return {**current, **dict(zip(paths, ad.mixout(ts, ref, mask, p)))}
+    if anchor.shape != (sum(t.data.size for t in ts),):
+        raise ConfigurationError(f"mixout anchor of shape {anchor.shape} does not fit the "
+                                 "parameters; take it with take_anchor")
+    mask = (rng.random(anchor.size) >= p).astype(ts[0].data.dtype)
+    return dict(zip(paths, ad.mixout(ts, anchor, mask, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def load_masked_set(path):
                 problems.append(f"{rid}: masking {m!r} is not an object")
                 continue
             start, end, answer = m.get("start"), m.get("end"), m.get("answer")
-            if not (isinstance(start, int) and isinstance(end, int)
+            if not (type(start) is int and type(end) is int
                     and 0 <= start < end <= len(text)):
                 problems.append(f"{rid}: span [{start}, {end}) out of bounds for text length {len(text)}")
                 continue

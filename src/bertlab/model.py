@@ -6,7 +6,7 @@ classification.
 Parameters live in a flat {dotted path: Tensor} dict. Paths are stable and
 carry the layer index ("encoder.3.attention.q.weight"), which is what the
 discriminative-learning-rate, freezing, and checkpoint code keys on. A
-training run moves its tensors into one arena with Adam's moments (`lay_out`).
+training run copies them into one arena with Adam's moments (`copy_params`).
 Attention masking is additive: masked positions get -1e9 before softmax,
 which underflows to an exactly-zero attention weight, so padding content
 cannot leak into real positions even at the bit level.
@@ -83,24 +83,23 @@ class ModelState:
         return self.vocab.fingerprint
 
 
-def copy_params(params: dict) -> dict:
-    """Trainable copies of the parameter tensors: a run trains these and
-    leaves the state it was given as it was."""
-    return {p: Tensor(t.data.copy(), requires_grad=True) for p, t in params.items()}
-
-
-def lay_out(params: dict) -> np.ndarray:
-    """The (3, N) arena of `params`: row 0 holds every tensor in sorted-path
-    order, each Tensor.data a view into it, and rows 1 and 2 are Adam's first
-    and second moments in the same layout. Tensors that do not tile one
-    already are moved into a new arena, with zero moments."""
-    ts = [params[p] for p in sorted(params)]
-    arena, n = ts[0].data.base, sum(t.data.size for t in ts)
-    if arena is None or arena.shape != (3, n) or any(t.data.base is not arena for t in ts):
-        arena = np.zeros((3, n), ts[0].data.dtype)
-        for t, view in zip(ts, ad.flat_views(arena[0], ts)):
-            view[...], t.data = t.data, view
-    return arena
+def copy_params(params: dict, optimizer_state: dict = None) -> tuple:
+    """(params, slots): trainable copies of the parameter tensors and of the
+    Adam slots, so a run leaves the state it was given as it was. The copies
+    live in a new (3, N) arena: row 0 holds every tensor in sorted-path order,
+    each Tensor.data a view into it, and rows 1 and 2 are Adam's first and
+    second moments in the same layout, zero where no slot is given."""
+    copies = {p: Tensor(t.data, requires_grad=True) for p, t in params.items()}
+    ts = [copies[p] for p in sorted(copies)]
+    arena = np.zeros((3, sum(t.data.size for t in ts)), ts[0].data.dtype)
+    for t, view in zip(ts, ad.flat_views(arena[0], ts)):
+        view[...], t.data = t.data, view
+    m, v = (dict(zip(sorted(copies), ad.flat_views(row, ts))) for row in arena[1:])
+    slots = {}
+    for p, slot in (optimizer_state or {}).items():
+        m[p][...], v[p][...] = slot["m"], slot["v"]
+        slots[p] = {"m": m[p], "v": v[p], "t": slot["t"]}
+    return copies, slots
 
 
 def param_group(path: str):

@@ -5,9 +5,9 @@ Batches are a pure function of (seed, step): every sampling decision for step
 s draws from a substream derived from the plan seed and s, so a run resumed
 from a checkpoint consumes exactly the same batch sequence and stays
 bit-identical to an uninterrupted run. The loop composes the forgetting
-mitigations: per-parameter learning-rate factors, frozen-path skipping,
-mixout-wrapped forward passes, and replay batches on the 1-based steps
-divisible by the replay frequency.
+mitigations: per-parameter learning-rate factors, frozen paths that take no
+gradient, mixout-wrapped forward passes, and replay batches on the 1-based
+steps divisible by the replay frequency.
 """
 
 import json
@@ -302,20 +302,23 @@ def pad_rows(rows, fill) -> np.ndarray:
 
 
 def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
-              lr_factors: dict = None, frozen=frozenset()) -> None:
+              lr_factors: dict = None) -> None:
     """Adam with bias correction and decoupled weight decay (norms and biases
-    excluded), as whole-array operations over the arena of `params`
-    (`model.lay_out`; the first step moves them there). Parameters without a
-    gradient this step are untouched — frozen paths therefore keep their
-    values and their optimizer state. A path's slot is made on its first
-    update; its m and v are arena views."""
+    excluded), as whole-array operations over the arena `model.copy_params`
+    laid `params` and `state` out in. Parameters without a gradient this step,
+    frozen ones (requires_grad False) among them, keep their values and their
+    optimizer state. A path's slot is made on its first update, as views of
+    the arena's moment rows, which are still zero there."""
     paths = sorted(params)
     ts = [params[p] for p in paths]
-    live = [p not in frozen and t.requires_grad and t.grad is not None
-            for p, t in zip(paths, ts)]
+    live = [t.requires_grad and t.grad is not None for t in ts]
     if not any(live):
         return
-    arena, sizes = md.lay_out(params), [t.data.size for t in ts]
+    arena, sizes = ts[0].data.base, [t.data.size for t in ts]
+    views = [t.data for t in ts] + [x for s in state.values() for x in (s["m"], s["v"])]
+    if arena is None or arena.shape != (3, sum(sizes)) or any(x.base is not arena for x in views):
+        raise ValueError("adam_step needs parameters and slots laid out in one arena "
+                         "by model.copy_params")
     on = all(live) or np.repeat(live, sizes)
     g = np.concatenate([(t.grad if a else t.data).reshape(-1) for t, a in zip(ts, live)],
                        dtype=arena.dtype)
@@ -324,14 +327,11 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
             p for p, a, x in zip(paths, live, ad.flat_views(g, ts))
             if a and not np.isfinite(x).all()))
     for p, t, a, end in zip(paths, ts, live, np.cumsum(sizes).tolist()):
-        s = state.get(p)
-        if a and (s is None or s["m"].base is not arena):   # new, or loaded or copied
+        if a and p not in state:
             m, v = (row[end - t.data.size: end].reshape(t.shape) for row in arena[1:])
-            m[...], v[...] = (0.0, 0.0) if s is None else (s["m"], s["v"])
-            s = state.setdefault(p, {"t": 0})
-            s["m"], s["v"] = m, v
+            state[p] = {"t": 0, "m": m, "v": v}
         if a:
-            s["t"] += 1
+            state[p]["t"] += 1
 
     def per_path(value):
         # one Python scalar when the updated paths agree, which numpy casts
@@ -359,13 +359,13 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
 
 
 def train_step(loss, params: dict, opt_state: dict, lr: float, plan,
-               lr_factors: dict = None, frozen=frozenset()) -> None:
+               lr_factors: dict = None) -> None:
     """One update: backward from `loss` into freshly cleared gradients, then
     `adam_step`."""
     for t in params.values():
         t.grad = None
     loss.backward()
-    adam_step(params, opt_state, lr, plan, lr_factors=lr_factors, frozen=frozen)
+    adam_step(params, opt_state, lr, plan, lr_factors=lr_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +496,9 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
         raise ConfigurationError(
             f"a mixout run cannot resume at step {start}: its anchor, the weights at "
             "step 0, is not stored in the checkpoint")
-    state = ModelState(config=config, params=md.copy_params(init.params), vocab=init.vocab,
-                       step=start, lineage=lineage,
-                       optimizer_state={p: dict(slot)
-                                        for p, slot in init.optimizer_state.items()})
+    params, slots = md.copy_params(init.params, init.optimizer_state)
+    state = ModelState(config=config, params=params, vocab=init.vocab, step=start,
+                       lineage=lineage, optimizer_state=slots)
 
     train_corpus, heldout = split_heldout(corpus, plan.heldout_fraction)
     held_sentences = [s for doc in heldout.documents for s in doc][: plan.eval_sentences]
@@ -514,6 +513,8 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     anchor = take_anchor(state.params) if cf.mixout_p else None
     factors = llrd_factors(sorted(state.params), cf.llrd_decay, config.n_layers)
     frozen = frozen_paths(state.params, cf.freeze_layers, config.n_layers)
+    for p in frozen:    # backward leaves them without a gradient, so Adam skips them
+        state.params[p].requires_grad = False
 
     metrics = MetricsLog(metrics_path)
     replay_log = []
@@ -532,8 +533,7 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
             loss, mlm_value, nsp_value = pretrain_loss(
                 fparams, config, batch, train=True,
                 rng=substream(plan.seed, f"dropout.{step}"))
-            train_step(loss, state.params, state.optimizer_state, lr, plan, factors,
-                       frozen)
+            train_step(loss, state.params, state.optimizer_state, lr, plan, factors)
             del loss   # free this step's graph before the next forward pass
             pppl_value = None
             if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
@@ -543,6 +543,8 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     finally:
         metrics.close()
 
+    for p in frozen:    # as load_checkpoint gives them back
+        state.params[p].requires_grad = True
     state.step = stop
     if checkpoint_path is not None:
         state.checkpoint_id = ckpt.save_checkpoint(checkpoint_path, state)

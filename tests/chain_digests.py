@@ -3,8 +3,9 @@ sha256 of every file it leaves there.
 
     PYTHONPATH=src python tests/chain_digests.py DIR
 
-runs vocab-train -> pretrain -> adapt --preset R12+ and adapt --preset OR
-(both from the pretrained checkpoint) -> eval-mlm (held-out sentences and a
+runs vocab-train -> pretrain -> adapt --preset R12+, adapt --preset OR and
+an adapt that freezes one layer under mixout and LLRD (freeze.json; all three
+from the pretrained checkpoint) -> eval-mlm (held-out sentences and a
 masked set) -> finetune (NER, seeds 1 and 2) -> inspect --out inside DIR, a
 new directory, with relative paths, and prints one "sha256  relpath" line
 per file, sorted. The chain is seeded, so two commits that keep the same
@@ -26,6 +27,8 @@ COMMANDS = (
     ["adapt", "--config", "run.json", "--out", "adapt-r12", "--preset", "R12+",
      "--parent", "base/checkpoint.ckpt"],
     ["adapt", "--config", "run.json", "--out", "adapt-or", "--preset", "OR",
+     "--parent", "base/checkpoint.ckpt"],
+    ["adapt", "--config", "freeze.json", "--out", "adapt-freeze",
      "--parent", "base/checkpoint.ckpt"],
     ["eval-mlm", "--config", "run.json", "--out", "eval",
      "--checkpoint", "adapt-or/checkpoint.ckpt"],
@@ -57,6 +60,8 @@ def build(root) -> None:
         _run(COMMANDS[0])
         cfg["tokenizer"]["vocab"] = "vocab/vocab.txt"
         save_config(Path("run.json"), cfg)
+        save_config(Path("freeze.json"), {
+            **cfg, "cf": {"freeze_layers": 1, "mixout_p": 0.9, "llrd_decay": 0.9}})
         save_config(Path("finetune.json"), {
             **cfg, "tasks": {"ner": {"data": "ner.conll"}},
             "finetune": {"epochs": 2, "batch_size": 8, "lr": 5e-3, "max_seq_len": 32,

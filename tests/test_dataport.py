@@ -229,6 +229,18 @@ def test_realign_ner_without_text_uses_token_join():
     assert out.spans == (ft.Span(0, 4, "GENE"),)
 
 
+def test_text_less_ner_example_keeps_its_entities_through_a_saved_file(tmp_path):
+    bare = ft.NerExample(uid="a", tokens=("aspirin", "helps"), tags=("B-Drug", "O"))
+    assert bare.text == "aspirin helps" and bare.spans == (ft.Span(0, 7, "Drug"),)
+    ft.save_ner((bare,), tmp_path / "bare.conll")
+    back, = ft.load_ner(tmp_path / "bare.conll")
+    assert back == bare
+    assert dp.realign_example(back, dp.UppercaseTranslator()).tags == ("B-Drug", "O")
+    with pytest.raises(ValidationError, match="spans without the text"):
+        ft.NerExample(uid="b", tokens=("x",), tags=("B-Drug",),
+                      spans=(ft.Span(0, 1, "Drug"),))
+
+
 def test_realign_ner_deleted_mention_drops():
     out = dp.realign_example(NER_EXAMPLE, Deleter("braf"))
     assert isinstance(out, dp.Dropped)

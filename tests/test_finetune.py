@@ -376,7 +376,13 @@ QA_RECORD = {"id": "a", "question": "q", "context": "ctx",
     (ft.load_re, "", {"id": "r", "text": 5, "relation": "a"}, "line 1: .*text must be a string"),
     (ft.load_ner, ".spans", {"id": ["s"], "text": "x", "spans": []},
      "sentence 0: .*id must be a string"),
-], ids=["qa-list-id", "qa-number-question", "re-number-text", "ner-sidecar-list-id"])
+    (ft.load_qa, "", {**QA_RECORD, "answers": [{"text": "tx", "answer_start": True}]},
+     "line 1: .*answer_start must be an integer"),
+    (ft.load_ner, ".spans",
+     {"id": "s", "text": "x", "spans": [{"start": False, "end": 1, "label": "L"}]},
+     "sidecar record 0: .*integer offsets"),
+], ids=["qa-list-id", "qa-number-question", "re-number-text", "ner-sidecar-list-id",
+        "qa-bool-answer-start", "ner-sidecar-bool-span-start"])
 def test_mistyped_record_fields_are_validation_errors(tmp_path, load, suffix, record, named):
     path = tmp_path / "data"
     path.write_text("x\tO\n", encoding="utf-8")   # the CoNLL file a sidecar belongs to

@@ -142,18 +142,18 @@ def test_mixout_zero_is_identity():
 def test_mixout_statistics():
     rng = np.random.default_rng(0)
     current = {"w": Tensor(rng.standard_normal(100_000), requires_grad=True)}
-    anchor = {"w": rng.standard_normal(100_000)}
+    anchor = rng.standard_normal(100_000)
     mixed = mit.mixout_apply(current, anchor, 0.9, substream(1, "mixout"))["w"]
-    substituted = np.isclose(mixed.data, anchor["w"], atol=1e-9)
+    substituted = np.isclose(mixed.data, anchor, atol=1e-9)
     assert np.abs(substituted.mean() - 0.9) < 0.02
     # expectation-preserving rescale: mean(out) tracks mean(current) within 3 SE
-    se = np.sqrt(0.9 * np.mean((current["w"].data - anchor["w"]) ** 2) / 0.1 / 100_000)
+    se = np.sqrt(0.9 * np.mean((current["w"].data - anchor) ** 2) / 0.1 / 100_000)
     assert abs(mixed.data.mean() - current["w"].data.mean()) < 3 * se
 
 
 def test_mixout_reproducible_and_p_one_rejected():
     current = {"w": Tensor(np.ones(50), requires_grad=True)}
-    anchor = {"w": np.zeros(50)}
+    anchor = np.zeros(50)
     a = mit.mixout_apply(current, anchor, 0.5, substream(3, "m"))["w"]
     b = mit.mixout_apply(current, anchor, 0.5, substream(3, "m"))["w"]
     np.testing.assert_array_equal(a.data, b.data)
@@ -165,11 +165,11 @@ def test_mixout_gradient_routes_through_mask():
     with ad.precision("float64"):
         rng = np.random.default_rng(5)
         theta = Tensor(rng.standard_normal(200), requires_grad=True)
-        anchor = {"w": rng.standard_normal(200)}
+        anchor = rng.standard_normal(200)
         mixed = mit.mixout_apply({"w": theta}, anchor, 0.4, substream(7, "m"))["w"]
         ad.sum_all(mixed).backward()
         # d(mixed)/d(theta) = mask / (1 - p): zero where substituted, 1/(1-p) where kept
-        substituted = np.isclose(mixed.data, anchor["w"], atol=1e-9)
+        substituted = np.isclose(mixed.data, anchor, atol=1e-9)
         expected = np.where(substituted, 0.0, 1.0 / 0.6)
         np.testing.assert_allclose(theta.grad, expected, atol=1e-12)
 
@@ -177,12 +177,14 @@ def test_mixout_gradient_routes_through_mask():
 def test_mixout_shape_mismatch_rejected():
     current = {"w": Tensor(np.ones(4), requires_grad=True)}
     with pytest.raises(ConfigurationError):
-        mit.mixout_apply(current, {"w": np.ones(5)}, 0.5, substream(0, "m"))
+        mit.mixout_apply(current, np.ones(5), 0.5, substream(0, "m"))
+    with pytest.raises(ConfigurationError):
+        mit.mixout_apply(current, np.ones((2, 2)), 0.5, substream(0, "m"))
 
 
 def per_tensor_mixout_apply(current, anchor, p, rng):
     """The per-tensor mixout `mit.mixout_apply` replaced, three nodes and one
-    draw per path: the oracle of its bits."""
+    draw per path: the oracle of its bits. anchor is {path: array}."""
     mixed = dict(current)
     for path in sorted(anchor):
         theta, ref = current[path], anchor[path]
@@ -195,17 +197,16 @@ def per_tensor_mixout_apply(current, anchor, p, rng):
 @st.composite
 def mixout_cases(draw):
     """(dtype, current arrays, anchor arrays, p): random shapes; the anchor
-    covers some of the paths, in the parameters' dtype or in float64."""
+    is in the parameters' dtype or in float64."""
     dtype = draw(st.sampled_from(["float32", "float64"]))
     names = draw(st.lists(st.sampled_from(["a.w", "b.w", "c.bias", "d.gain", "e.w"]),
                           min_size=1, max_size=5, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     current = {n: rng.standard_normal(tuple(draw(st.lists(st.integers(1, 6), max_size=3))))
                for n in names}
-    anchored = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     ref_dtype = draw(st.sampled_from([dtype, "float64"]))
     anchor = {n: (current[n] + rng.standard_normal(current[n].shape)).astype(ref_dtype)
-              for n in anchored}
+              for n in names}
     return dtype, current, anchor, draw(st.sampled_from([0.1, 0.5, 0.9, 0.37]))
 
 
@@ -215,9 +216,10 @@ def test_mixout_apply_matches_the_per_tensor_oracle_bit_for_bit(case):
     dtype, current, anchor, p = case
     results = []
     with ad.precision(dtype):
-        for apply in (per_tensor_mixout_apply, mit.mixout_apply):
+        flat = np.concatenate([anchor[n].reshape(-1) for n in sorted(anchor)])
+        for apply, ref in ((per_tensor_mixout_apply, anchor), (mit.mixout_apply, flat)):
             params = {n: Tensor(a, requires_grad=True) for n, a in current.items()}
-            mixed = apply(params, anchor, p, substream(2, "mixout"))
+            mixed = apply(params, ref, p, substream(2, "mixout"))
             loss_rng = substream(3, "loss")
             terms = [ad.sum_all(ad.mul(mixed[n], Tensor(loss_rng.standard_normal(a.shape))))
                      for n, a in sorted(current.items()) for _ in range(2)]

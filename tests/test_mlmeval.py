@@ -369,7 +369,9 @@ def test_invalid_json_is_reported_at_its_physical_line(tmp_path):
 @pytest.mark.parametrize("line, named", [
     ("[1, 2]", "line 1"),
     (json.dumps({"id": "r9", "text": "ab", "maskings": [5]}), "r9"),
-], ids=["record-is-list", "masking-is-number"])
+    (json.dumps({"id": "r8", "text": "ab",
+                 "maskings": [{"start": True, "end": 2, "answer": "b"}]}), "r8"),
+], ids=["record-is-list", "masking-is-number", "masking-start-is-bool"])
 def test_non_object_records_are_validation_errors(tmp_path, line, named):
     path = tmp_path / "set.jsonl"
     path.write_text(line + "\n", encoding="utf-8")

@@ -178,7 +178,7 @@ def _encoder_and_grads(forward, params, config, batch, drop, mixout):
         t.grad = None
     used = params
     if mixout:
-        anchor = {p: a - 0.01 for p, a in mit.take_anchor(params).items()}
+        anchor = mit.take_anchor(params) - 0.01
         used = mit.mixout_apply(params, anchor, 0.3, substream(4, "mixout"))
     hidden = forward(used, config, *batch, drop=drop, rng=substream(5, "drop"))
     weights = substream(6, "loss").standard_normal(hidden.shape)

@@ -365,9 +365,9 @@ def test_stream_rejects_unpairable_corpora():
 
 
 def test_adam_hand_anchor_first_step_is_minus_lr():
-    w = Tensor(np.array([0.0], dtype=np.float64), requires_grad=True)
+    params, state = md.copy_params({"heads.a.bias": Tensor(np.array([0.0]))})
+    w = params["heads.a.bias"]
     w.grad = np.array([1.0])
-    params, state = {"heads.a.bias": w}, {}
     pt.adam_step(params, state, 0.1, quick_plan())
     # bias-corrected m̂/√v̂ = 1 on the first step
     assert abs(w.data[0] + 0.1) < 1e-7
@@ -378,56 +378,71 @@ def test_adam_hand_anchor_first_step_is_minus_lr():
 
 
 def test_adam_zero_gradient_leaves_no_decay_param_unchanged():
-    w = Tensor(np.array([3.0]), requires_grad=True)
+    params, state = md.copy_params({"encoder.0.ffn.norm.gain": Tensor(np.array([3.0]))})
+    w = params["encoder.0.ffn.norm.gain"]
     w.grad = np.array([0.0])
-    pt.adam_step({"encoder.0.ffn.norm.gain": w}, {}, 0.1, quick_plan())
+    pt.adam_step(params, state, 0.1, quick_plan())
     assert w.data[0] == 3.0
 
 
 def test_adam_skips_gradless_and_frozen_paths():
-    a, b = Tensor(np.array([1.0]), requires_grad=True), Tensor(np.array([1.0]), requires_grad=True)
+    params, state = md.copy_params({"heads.a.weight": Tensor(np.array([1.0])),
+                                    "embeddings.token": Tensor(np.array([1.0]))})
+    a, b = params["heads.a.weight"], params["embeddings.token"]
+    b.requires_grad = False     # frozen
     b.grad = np.array([1.0])
-    state = {}
-    pt.adam_step({"heads.a.weight": a, "embeddings.token": b}, state, 0.1,
-                 quick_plan(), frozen=frozenset({"embeddings.token"}))
+    pt.adam_step(params, state, 0.1, quick_plan())
     assert a.data[0] == 1.0 and b.data[0] == 1.0
     assert state == {}
 
 
 def test_adam_weight_decay_excludes_biases_and_norms():
-    decayed = Tensor(np.array([1.0]), requires_grad=True)
-    bias = Tensor(np.array([1.0]), requires_grad=True)
-    gain = Tensor(np.array([1.0]), requires_grad=True)
+    params, state = md.copy_params({p: Tensor(np.array([1.0])) for p in (
+        "heads.a.weight", "heads.a.bias", "encoder.1.attention.norm.gain")})
+    decayed, bias, gain = params.values()
     for t in (decayed, bias, gain):
         t.grad = np.array([0.0])
-    pt.adam_step({"heads.a.weight": decayed, "heads.a.bias": bias,
-                  "encoder.1.attention.norm.gain": gain}, {}, 0.5, quick_plan())
+    pt.adam_step(params, state, 0.5, quick_plan())
     assert decayed.data[0] == pytest.approx(1.0 - 0.5 * 0.01)
     assert bias.data[0] == 1.0 and gain.data[0] == 1.0
 
 
 def test_adam_non_finite_gradient_names_the_path():
-    w = Tensor(np.array([0.0]), requires_grad=True)
-    w.grad = np.array([np.nan])
+    params, state = md.copy_params({"heads.a.weight": Tensor(np.array([0.0]))})
+    params["heads.a.weight"].grad = np.array([np.nan])
     with pytest.raises(NumericFault, match="heads.a.weight"):
-        pt.adam_step({"heads.a.weight": w}, {}, 0.1, quick_plan())
+        pt.adam_step(params, state, 0.1, quick_plan())
 
 
 def test_adam_lr_factors_scale_the_step():
-    full = Tensor(np.array([0.0]), requires_grad=True)
-    half = Tensor(np.array([0.0]), requires_grad=True)
+    params, state = md.copy_params({"heads.f.bias": Tensor(np.array([0.0])),
+                                    "heads.h.bias": Tensor(np.array([0.0]))})
+    full, half = params["heads.f.bias"], params["heads.h.bias"]
     full.grad = np.array([1.0])
     half.grad = np.array([1.0])
-    pt.adam_step({"heads.f.bias": full, "heads.h.bias": half}, {}, 0.1,
-                 quick_plan(), lr_factors={"heads.h.bias": 0.5})
+    pt.adam_step(params, state, 0.1, quick_plan(), lr_factors={"heads.h.bias": 0.5})
     assert half.data[0] == pytest.approx(full.data[0] / 2)
 
 
-def per_tensor_adam_step(params, state, lr, plan, lr_factors=None, frozen=frozenset()):
+def test_adam_step_refuses_tensors_outside_one_arena():
+    loose = {"heads.a.bias": Tensor(np.array([0.0]), requires_grad=True)}
+    loose["heads.a.bias"].grad = np.array([1.0])
+    with pytest.raises(ValueError, match="model.copy_params"):
+        pt.adam_step(loose, {}, 0.1, quick_plan())
+    params, state = md.copy_params(loose)
+    params["heads.a.bias"].grad = np.array([1.0])
+    foreign = {"heads.a.bias": {"m": np.zeros(1, np.float32), "v": np.zeros(1, np.float32),
+                                "t": 1}}
+    with pytest.raises(ValueError, match="model.copy_params"):
+        pt.adam_step(params, foreign, 0.1, quick_plan())
+    assert params["heads.a.bias"].data[0] == 0.0
+
+
+def per_tensor_adam_step(params, state, lr, plan, lr_factors=None):
     """The per-tensor Adam loop `pt.adam_step` replaced: the oracle of its bits."""
     for path in sorted(params):
         t = params[path]
-        if path in frozen or not t.requires_grad or t.grad is None:
+        if not t.requires_grad or t.grad is None:
             continue
         g = t.grad
         if not np.isfinite(g).all():
@@ -496,10 +511,14 @@ def test_adam_step_matches_the_per_tensor_oracle_bit_for_bit(case):
             tensors = {p: Tensor(a.copy(), requires_grad=True) for p, a in params.items()}
             state = {p: {"m": s["m"].copy(), "v": s["v"].copy(), "t": s["t"]}
                      for p, s in loaded.items()}
+            if step_fn is pt.adam_step:
+                tensors, state = md.copy_params(tensors, state)
+            for p in frozen:
+                tensors[p].requires_grad = False
             for grads in steps:
                 for p, t in tensors.items():
                     t.grad = grads[p].copy() if p in grads else None
-                step_fn(tensors, state, lr, plan, lr_factors=factors, frozen=frozen)
+                step_fn(tensors, state, lr, plan, lr_factors=factors)
                 for p, t in tensors.items():   # the step leaves gradients alone
                     assert (t.grad is None) == (p not in grads)
                     assert t.grad is None or t.grad.tobytes() == grads[p].tobytes()
@@ -518,17 +537,18 @@ def test_adam_step_matches_the_per_tensor_oracle_bit_for_bit(case):
 
 
 def test_adam_non_finite_gradient_names_the_first_bad_path_and_changes_nothing():
-    tensors = {p: Tensor(np.full(3, 0.5), requires_grad=True) for p in ADAM_PATHS}
+    tensors, state = md.copy_params({p: Tensor(np.full(3, 0.5)) for p in ADAM_PATHS})
+    tensors["embeddings.token"].requires_grad = False    # frozen
     for t in tensors.values():
         t.grad = np.ones(3, dtype=np.float32)
     tensors["encoder.1.ffn.in.weight"].grad[1] = np.inf
     tensors["heads.ner.weight"].grad[0] = np.nan
     tensors["embeddings.token"].grad[2] = np.nan      # frozen: never read
     want = {p: t.data.copy() for p, t in tensors.items()}
-    messages, state = [], {}
+    messages = []
     for step_fn in (pt.adam_step, per_tensor_adam_step):
         with pytest.raises(NumericFault) as err:
-            step_fn(tensors, state, 0.1, quick_plan(), frozen=frozenset({"embeddings.token"}))
+            step_fn(tensors, state, 0.1, quick_plan())
         messages.append(str(err.value))
         if step_fn is pt.adam_step:     # the oracle updates the paths before the bad one
             assert state == {}
@@ -770,6 +790,21 @@ def test_frozen_layers_stay_bit_identical_through_training():
     assert "encoder" in changed and "head" in changed
 
 
+def test_frozen_paths_take_no_gradient_and_come_back_trainable(tmp_path):
+    vocab = word_vocab(20)
+    plan = quick_plan(total_steps=3, cf=CFConfig(freeze_layers=1))
+    result = pt.run_pretraining(tiny_state(vocab), word_corpus(vocab), plan,
+                                checkpoint_path=tmp_path / "frozen.ckpt")
+    frozen = mit.frozen_paths(result.state.params, 1, 2)
+    assert frozen
+    for path, t in result.state.params.items():
+        # the last step's backward reached every trainable path the loss uses
+        assert (t.grad is None) == (path in frozen), path
+        assert t.requires_grad, path
+    assert not frozen & set(result.state.optimizer_state)
+    assert_same_state(ck.load_checkpoint(tmp_path / "frozen.ckpt"), result.state)
+
+
 def test_regularized_step_adds_one_mixout_node_per_parameter():
     vocab = word_vocab(20)
     state = tiny_state(vocab)
@@ -820,6 +855,24 @@ def test_resume_from_checkpoint_matches_uninterrupted_run(tmp_path):
     assert resumed.checkpoint_id == straight.checkpoint_id
     # and it trained a copy: the loaded state still holds step 3's moments
     assert all(slot["t"] <= 3 for slot in mid.optimizer_state.values())
+
+@pytest.mark.parametrize("cf", [CFConfig(freeze_layers=1), preset("R0"), preset("R12+")],
+                         ids=["freeze_layers=1", "R0", "R12+"])
+def test_resume_is_exact_under_every_resumable_mitigation(tmp_path, cf):
+    # 110 steps resumed at 55: R12+ replays at 50 and 100, R0 at 100
+    vocab = word_vocab(20)
+    corpus, replay = word_corpus(vocab), word_corpus(vocab, seed=2)
+    plan = quick_plan(total_steps=110, peak_lr=5e-3, seed=11, cf=cf)
+    straight = pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan,
+                                  replay_corpus=replay,
+                                  checkpoint_path=tmp_path / "straight.ckpt")
+    pt.run_pretraining(tiny_state(vocab, seed=4), corpus, plan, replay_corpus=replay,
+                       stop_step=55, checkpoint_path=tmp_path / "mid.ckpt")
+    resumed = pt.run_pretraining(ck.load_checkpoint(tmp_path / "mid.ckpt"), corpus, plan,
+                                 replay_corpus=replay,
+                                 checkpoint_path=tmp_path / "resumed.ckpt")
+    assert_same_state(resumed.state, straight.state)
+    assert resumed.checkpoint_id == straight.checkpoint_id
 
 
 def test_result_state_is_what_its_checkpoint_loads_as(tmp_path):
