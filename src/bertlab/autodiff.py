@@ -18,6 +18,9 @@ verification runs. The only implicit broadcast is bias-add over the last
 axis and the constant-add used for attention masking; every other shape
 coercion is explicit. Backward accumulation is sequential, so runs are
 bit-reproducible given a seed.
+
+Float32 GELU evaluates its own erf, within 3 ulp of scipy's float32 erf, in
+cache-sized blocks; float64 GELU keeps scipy's erf.
 """
 
 from contextlib import contextmanager
@@ -400,15 +403,98 @@ def _normalize_back(g, xhat, inv_std, gain: Tensor, bias: Tensor) -> np.ndarray:
 
 
 def gelu(t: Tensor) -> Tensor:
-    """Exact erf-form GELU."""
-    t = _as_tensor(t)
-    cdf = 0.5 * (1.0 + erf(t.data * _INV_SQRT2))
-    out = t.data * cdf
+    """Exact erf-form GELU, x * (1 + erf(x / sqrt(2))) / 2.
 
-    def back(g):
-        pdf = np.exp(-0.5 * t.data * t.data) * _INV_SQRT_2PI
-        _accumulate(t, g * (cdf + t.data * pdf))
-    return _node(out.astype(t.data.dtype, copy=False), (t,), back)
+    Float64 evaluates scipy's erf. Float32 runs forward and backward in
+    cache-sized blocks, with an erf within 3 ulp of scipy's float32 erf
+    (`_neg_erf32`); the cdf the backward needs is kept only while a graph
+    is recorded.
+    """
+    t = _as_tensor(t)
+    x = t.data
+    if x.dtype != np.float32:
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+
+        def back(g):
+            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+            _accumulate(t, g * (cdf + x * pdf))
+        return _node(x * cdf, (t,), back)
+    out, cdf = _gelu32(x, keep_cdf=_GRAD_ENABLED and t.requires_grad)
+
+    def back32(g):
+        _accumulate(t, _gelu32_back(g, x, cdf))
+    return _node(out, (t,), back32)
+
+
+_BLOCK = 1 << 16  # float32 elements per block: a few 256 KB buffers stay in L2
+
+# erf(t) = -expm1(t * P(t)) for t >= 0, where P is a degree-7 polynomial fit
+# of log(erfc t) / t on [0, 3.92], weighted by erf's float32 ulp (Lawson's
+# minimax iteration); coefficients from P(0) = -2/sqrt(pi) up, rounded to
+# float32. Past the fit, t * P(t) only falls: from 3.908 to infinity, expm1
+# rounds it to -1, so erf is 1 with no clamp (t * P(t) may overflow to -inf).
+_ERF_COEFS = tuple(np.float32(c) for c in (
+    -1.1283792, -0.6366166, -0.102813564, 0.019319955,
+    -0.00020496492, -0.0012508923, 0.00038023302, -4.0547835e-05))
+_SIGN_BIT = np.int32(-1 << 31)
+
+
+def _neg_erf32(x: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-erf(x) of a float32 array into out, within 3 ulp of scipy's float32
+    erf (checked over every float32; both are odd); t is scratch of x's
+    shape. Call it under np.errstate(over="ignore")."""
+    np.abs(x, out=t)
+    np.multiply(t, _ERF_COEFS[-1], out=out)
+    for c in _ERF_COEFS[-2::-1]:
+        out += c
+        out *= t
+    np.expm1(out, out=out)  # -erf|x|, never positive
+    sign = t.view(np.int32)
+    np.bitwise_and(x.view(np.int32), _SIGN_BIT, out=sign)
+    np.bitwise_xor(out.view(np.int32), sign, out=out.view(np.int32))  # erf|x| where x < 0
+    return out
+
+
+def _gelu32(x: np.ndarray, keep_cdf: bool):
+    """(gelu(x), cdf or None) of a float32 array, block by block; both
+    C-contiguous."""
+    out = np.empty(x.shape, np.float32)
+    cdf = np.empty(x.shape, np.float32) if keep_cdf else None
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    flat_cdf = cdf.reshape(-1) if keep_cdf else None
+    scratch = np.empty((3, min(flat_x.size, _BLOCK)), np.float32)
+    with np.errstate(over="ignore"):
+        for i in range(0, flat_x.size, _BLOCK):
+            xb = flat_x[i:i + _BLOCK]
+            u, t, c = scratch[:, :xb.size]
+            if keep_cdf:
+                c = flat_cdf[i:i + _BLOCK]
+            np.multiply(xb, _INV_SQRT2, out=u)
+            _neg_erf32(u, c, t)
+            np.subtract(1.0, c, out=c)  # 1 + erf, bit for bit
+            c *= 0.5
+            np.multiply(xb, c, out=flat_out[i:i + _BLOCK])
+    return out, cdf
+
+
+def _gelu32_back(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * (cdf + x * pdf(x)) of float32 arrays of one shape (cdf
+    C-contiguous), block by block, with the float64 path's expression and
+    bits."""
+    grad = np.empty(x.shape, np.float32)
+    flat_g, flat_x, flat_cdf, flat_grad = (a.reshape(-1) for a in (g, x, cdf, grad))
+    pdf = np.empty(min(flat_x.size, _BLOCK), np.float32)
+    for i in range(0, flat_x.size, _BLOCK):
+        xb = flat_x[i:i + _BLOCK]
+        p = pdf[:xb.size]
+        np.multiply(xb, -0.5, out=p)
+        p *= xb
+        np.exp(p, out=p)
+        p *= _INV_SQRT_2PI
+        p *= xb
+        p += flat_cdf[i:i + _BLOCK]
+        np.multiply(flat_g[i:i + _BLOCK], p, out=flat_grad[i:i + _BLOCK])
+    return grad
 
 
 def tanh(t: Tensor) -> Tensor:

@@ -86,7 +86,8 @@ class NerExample:
         bad = [t for t in self.tags if not _valid_bio(t)]
         if bad:
             raise ValidationError(f"{self.uid}: malformed BIO tags", items=bad)
-        if self.text is None:
+        given_text = self.text is not None
+        if not given_text:
             if self.spans:
                 raise ValidationError(f"{self.uid}: spans without the text they index")
             text, spans = _ner_text_from_tokens(self.tokens, self.tags)
@@ -99,6 +100,12 @@ class NerExample:
         for a, b in zip(ordered, ordered[1:]):
             if b.start < a.end:
                 raise ValidationError(f"{self.uid}: overlapping spans", items=[a, b])
+        if given_text:
+            from_spans = _span_entities(self.uid, self.tokens, self.text, ordered)
+            from_tags = bio_decode(self.tags)
+            if from_spans != from_tags:
+                raise ValidationError(f"{self.uid}: spans disagree with the tags", items=[
+                    f"word entities from tags {from_tags}", f"from spans {from_spans}"])
 
 
 @dataclass(frozen=True)
@@ -271,6 +278,24 @@ def _ner_text_from_tokens(tokens, tags):
     spans = tuple(Span(starts[ws], starts[we - 1] + len(tokens[we - 1]), label)
                   for ws, we, label in bio_decode(tags))
     return text, spans
+
+
+def _span_entities(uid, tokens, text, spans):
+    """The (start, end, label) word ranges, as bio_decode gives them, of
+    character spans over a text that holds the tokens in order: a span takes
+    every word it overlaps, the rule realignment regenerates tags by."""
+    offsets, pos = [], 0
+    for token in tokens:
+        start = text.find(token, pos)
+        if start < 0:
+            raise ValidationError(f"{uid}: token not found in order in the text", items=[token])
+        pos = start + len(token)
+        offsets.append((start, pos))
+    entities = []
+    for s in spans:
+        words = [i for i, (start, end) in enumerate(offsets) if start < s.end and end > s.start]
+        entities.append((words[0], words[-1] + 1, s.label) if words else (None, None, s.label))
+    return tuple(entities)
 
 
 def save_ner(examples, path) -> None:

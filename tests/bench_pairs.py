@@ -10,7 +10,9 @@ odd pairs the change. Each run's `# env` line and JSON result line go into
 those of W; its summary gives, per end-to-end metric of W, both medians, the
 change's relative difference, the pairs the change won, and the distance
 between the parent's quartiles. The same summary is printed. Nothing under
-either checkout is written.
+either checkout is written. A run whose result is not `correct` keeps its
+failed checks in --out; after writing it, the script names each such run
+with its pair, side and failed checks and exits 1.
 """
 
 import argparse
@@ -36,7 +38,7 @@ def label(checkout: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
-    """(env line, result line) of one untraced benchmark run."""
+    """(env line, failed checks, result line) of one untraced benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, text=True, capture_output=True)
@@ -44,7 +46,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
     if proc.returncode or not lines:
         sys.exit(f"{' '.join(cmd)} in {checkout} failed:\n{proc.stderr[-2000:]}")
     env = next(line for line in lines if line.startswith("# env "))
-    return env, lines[-1]
+    detail = next(line for line in lines if line.startswith("# detail "))
+    return env, json.loads(detail[len("# detail "):])["failures"], lines[-1]
+
+
+def incorrect_runs(runs) -> list:
+    """One line per run whose result is not correct: pair, side, seed and
+    the checks that failed."""
+    return [f"pair {r['pair']} {r['side']} (seed {r['seed']}): "
+            + "; ".join(r["failures"] or ["no failed check named"])
+            for r in runs if not json.loads(r["result"])["correct"]]
 
 
 def summarize(runs, end_to_end) -> dict:
@@ -107,10 +118,10 @@ def main(argv=None) -> int:
         seed = FIRST_SEED + pair
         order = SIDES if pair % 2 == 0 else SIDES[::-1]
         for side in order:
-            env, result = run_once(dirs[side], args.workload, seed, args.seconds)
+            env, failures, result = run_once(dirs[side], args.workload, seed, args.seconds)
             runs.append({"workload": args.workload, "seed": seed, "trace": 0,
                          "side": side, "pair": pair, "first": order[0],
-                         "env": env, "result": result})
+                         "env": env, "result": result, "failures": failures})
             print(f"pair {pair} {side}: {result}", file=sys.stderr)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -129,6 +140,10 @@ def main(argv=None) -> int:
     doc["summary"] = {**doc.get("summary", {}), args.workload: summary}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     report(args.workload, summary)
+    incorrect = incorrect_runs(runs)
+    if incorrect:
+        print(f"{len(incorrect)} incorrect runs:", *incorrect, sep="\n  ", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -239,6 +239,75 @@ def test_dropout_identity_at_zero_and_scaling():
     np.testing.assert_allclose(x.grad[~kept], 0.0)
 
 
+def _float32_ulps(a, b):
+    """|a - b| in float32 ulps, counted along the float32 number line."""
+    def ordered(v):
+        i = v.view(np.int32).astype(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+def test_float32_erf_within_3_ulp_of_scipy():
+    from scipy.special import erf
+    four, inf = (int(np.float32(v).view(np.int32)) for v in (4.0, np.inf))
+    x = np.concatenate([
+        np.arange(0, four, 997, dtype=np.int32).view(np.float32),  # dense near 0, subnormals too
+        np.linspace(0, 4, 1_000_001, dtype=np.float32),
+        np.arange(four, inf, 99_991, dtype=np.int32).view(np.float32),  # past the fit
+        np.array([3.92, 3.9079874, 1e30, np.finfo(np.float32).max, np.inf], np.float32)])
+    x = np.concatenate([x, -x])
+    with np.errstate(over="ignore"):
+        got = -ad._neg_erf32(x, np.empty_like(x), np.empty_like(x))
+    want = erf(x)
+    assert want.dtype == np.float32
+    assert _float32_ulps(got, want).max() <= 3
+    assert (got[np.abs(x) >= 3.9079874] == np.sign(x[np.abs(x) >= 3.9079874])).all()
+    assert np.signbit(got[x == 0]).tolist() == np.signbit(x[x == 0]).tolist()
+    with np.errstate(over="ignore"):
+        assert np.isnan(ad._neg_erf32(np.float32([np.nan]), np.empty(1, np.float32),
+                                      np.empty(1, np.float32))).all()
+
+
+def test_float32_gelu_tracks_the_float64_path():
+    # odd length over several blocks; the bounds follow from erf's 3 ulp
+    rng = np.random.default_rng(3)
+    x = (rng.standard_normal(3 * ad._BLOCK + 7) * 2).astype(np.float32)
+    x[:4] = [0.0, -0.0, 8.0, -8.0]
+    g = rng.standard_normal(x.shape).astype(np.float32)
+
+    def gelu_and_grad(dtype):
+        with ad.precision(dtype):
+            t = Tensor(x, requires_grad=True)
+            out = ad.gelu(t)
+            out.backward(g)
+            with ad.no_grad():
+                assert np.array_equal(ad.gelu(t).data, out.data)
+            return out.data, t.grad
+    out32, grad32 = gelu_and_grad("float32")
+    out64, grad64 = gelu_and_grad("float64")
+    assert out32.dtype == grad32.dtype == np.float32
+    eps = float(np.finfo(np.float32).eps)
+    assert (np.abs(out32 - out64) <= 2 * eps * np.abs(x)).all()
+    assert (np.abs(grad32 - grad64) <= 2 * eps * np.abs(g) * (1 + np.abs(x))).all()
+    with ad.precision("float32"):  # any layout and rank
+        assert ad.gelu(Tensor(x[0])).shape == ()
+        square = x[:256 * 256].reshape(256, 256)
+        np.testing.assert_array_equal(ad.gelu(Tensor(square.T)).data,
+                                      ad.gelu(Tensor(square.T.copy())).data)
+
+
+def test_float64_gelu_is_the_scipy_erf_expression_bit_for_bit():
+    from scipy.special import erf
+    x = rand((5, 7), seed=4)
+    g = np.random.default_rng(5).standard_normal(x.shape)
+    out = ad.gelu(x)
+    out.backward(g)
+    cdf = 0.5 * (1.0 + erf(x.data * (1.0 / np.sqrt(2.0))))
+    pdf = np.exp(-0.5 * x.data * x.data) * (1.0 / np.sqrt(2.0 * np.pi))
+    np.testing.assert_array_equal(out.data, x.data * cdf)
+    np.testing.assert_array_equal(x.grad, g * (cdf + x.data * pdf))
+
+
 def test_precision_context_controls_new_tensor_dtype():
     assert Tensor([1.0]).dtype == np.float64  # inside the autouse fixture
     with ad.precision("float32"):

@@ -129,6 +129,21 @@ def test_ner_example_validation():
                       spans=(ft.Span(0, 9, "A"),))
 
 
+def test_ner_spans_that_disagree_with_the_tags_are_refused():
+    def example(spans, text="aspirin helps"):
+        return ft.NerExample(uid="a", tokens=("aspirin", "helps"), tags=("B-Drug", "O"),
+                             text=text, spans=spans)
+    for spans in ((), (ft.Span(8, 13, "Drug"),), (ft.Span(0, 7, "Gene"),),
+                  (ft.Span(0, 7, "Drug"), ft.Span(8, 13, "Drug"))):
+        with pytest.raises(ValidationError, match="disagree with the tags"):
+            example(spans)
+    with pytest.raises(ValidationError, match="token not found"):
+        example((ft.Span(0, 7, "Drug"),), text="aspirin works")
+    # a span takes every word it overlaps, as realignment regenerates tags
+    assert example((ft.Span(2, 5, "Drug"),)).spans == (ft.Span(2, 5, "Drug"),)
+    assert example((ft.Span(0, 7, "Drug"),), text="  aspirin, helps").tags == ("B-Drug", "O")
+
+
 def test_qa_example_validation():
     good = ft.QaExample(uid="q", question="who", context="bob slept",
                         answers=(ft.Answer("bob", 0),))
