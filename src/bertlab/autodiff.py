@@ -32,6 +32,8 @@ from .errors import DimensionError, NumericFault
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
+IGNORE_INDEX = -100   # a cross_entropy target that scores nothing
+_FD_STEP = 1e-5        # grad_check's central-difference step
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -568,15 +570,14 @@ def flat_views(flat: np.ndarray, ts) -> list:
 
 def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
               wv: Tensor, bv: Tensor, mask_bias, n_heads: int, rate: float = 0.0,
-              rng: np.random.Generator = None, probs_out: list = None) -> Tensor:
+              rng: np.random.Generator = None) -> Tensor:
     """Multi-head self-attention before the output projection, one node.
 
     x (B, L, H) is projected to queries, keys and values (weights (H, H),
     biases (H,)) and split into n_heads heads; scores q k^T / sqrt(H / n_heads)
     plus the constant mask_bias (broadcast to (B, n_heads, L, L)) go through
     a softmax over keys and inverted dropout at rate (drawn from rng), weight
-    the values, and the heads are merged back to (B, L, H). probs_out, if a
-    list, receives the post-softmax probabilities.
+    the values, and the heads are merged back to (B, L, H).
     """
     x, wq, bq, wk, bk, wv, bv = (_as_tensor(t) for t in (x, wq, bq, wk, bk, wv, bv))
     if x.data.ndim != 3 or x.shape[-1] % n_heads:
@@ -606,8 +607,6 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     probs *= scale
     probs += mask_bias
     _softmax(probs, -1, out=probs)
-    if probs_out is not None:
-        probs_out.append(probs)
     if rate:
         mask = _dropout_mask(probs.shape, rate, rng, probs.dtype)
         dropped = probs * mask
@@ -646,8 +645,8 @@ def mean_all(t: Tensor) -> Tensor:
     return _node(np.asarray(t.data.mean(), dtype=t.data.dtype), (t,), back)
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
-    """Mean negative log-likelihood over positions whose target != ignore_index.
+def cross_entropy(logits: Tensor, targets) -> Tensor:
+    """Mean negative log-likelihood over positions whose target != IGNORE_INDEX.
 
     logits (..., V), integer targets matching the leading shape. Scalar output;
     a non-finite loss raises NumericFault.
@@ -659,7 +658,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
     v = logits.shape[-1]
     flat = logits.data.reshape(-1, v)
     tgt = targets.reshape(-1)
-    valid = tgt != ignore_index
+    valid = tgt != IGNORE_INDEX
     n = int(valid.sum())
     if n == 0:
         return _node(np.asarray(0.0, dtype=logits.data.dtype), (logits,), lambda g: None)
@@ -687,13 +686,13 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = -100) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, x: Tensor, h: float = 1e-5) -> float:
+def grad_check(f, x: Tensor) -> float:
     """Max relative error between analytic and central-difference gradients of
     scalar-valued f at x: max_i |a_i - n_i| / max(1, |a_i|)."""
-    return grad_check_params(lambda: f(x), {"x": x}, h)["x"]
+    return grad_check_params(lambda: f(x), {"x": x})["x"]
 
 
-def grad_check_params(f, params, h: float = 1e-5, max_coords: int = 0) -> dict:
+def grad_check_params(f, params, max_coords: int = 0) -> dict:
     """grad_check over a {path: Tensor} mapping; f() reads the tensors in place.
 
     Returns {path: max relative error}. Checks every coordinate of every tensor;
@@ -718,25 +717,25 @@ def grad_check_params(f, params, h: float = 1e-5, max_coords: int = 0) -> dict:
             coords = np.unique(np.linspace(0, size - 1, max_coords).astype(np.int64))
         else:
             coords = np.arange(size)
-        numeric = _central_differences_at(f, t, h, coords)
+        numeric = _central_differences_at(f, t, coords)
         a = analytic[path][coords]
         rel = np.abs(a - numeric) / np.maximum(1.0, np.abs(a))
         errors[path] = float(rel.max()) if rel.size else 0.0
     return errors
 
 
-def _central_differences_at(f, x: Tensor, h: float, coords) -> np.ndarray:
+def _central_differences_at(f, x: Tensor, coords) -> np.ndarray:
     flat = x.data.reshape(-1)
     numeric = np.zeros(len(coords), dtype=np.float64)
     with no_grad():
         for j, i in enumerate(coords):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + _FD_STEP
             fp = float(f().data)
-            flat[i] = orig - h
+            flat[i] = orig - _FD_STEP
             fm = float(f().data)
             flat[i] = orig
-            numeric[j] = (fp - fm) / (2.0 * h)
+            numeric[j] = (fp - fm) / (2.0 * _FD_STEP)
     if not np.isfinite(numeric).all():
         raise NumericFault("grad_check: non-finite finite-difference value")
     return numeric

@@ -1,13 +1,15 @@
 """Annotation-realigning dataset translation: run every context through a
 pluggable sentence translator, translate each annotated mention independently,
-then re-locate the mention in the translated context and recompute its
-character indices.
+then re-locate it in the translated context with one loop, `_relocate`, that
+NER spans, QA answers and RE markers share.
 
 Location walks a fixed policy chain — exact match, then case-insensitive,
 then accent-folded — and among multiple occurrences picks the one whose
 relative position is closest to the source mention's. An exact tie, or any
 mention that cannot be found at all, drops the whole example; drops are
-tallied by reason so translation noise is auditable per split.
+tallied by reason so translation noise is auditable per split. NER tags are
+regenerated over the translated words by the span rule `finetune` owns
+(`span_entities`, `bio_encode`): a span takes every word it overlaps.
 """
 
 import hashlib
@@ -56,7 +58,6 @@ def _lower(text: str) -> str:
 
 class IdentityTranslator:
     name = "identity"
-    deterministic = True
 
     def translate(self, text: str) -> str:
         return text
@@ -66,7 +67,6 @@ class UppercaseTranslator:
     """Loud but reversible: exercises the case-insensitive location tier."""
 
     name = "uppercase"
-    deterministic = True
 
     def translate(self, text: str) -> str:
         return text.upper()
@@ -74,7 +74,6 @@ class UppercaseTranslator:
 
 class AccentFoldTranslator:
     name = "accent_fold"
-    deterministic = True
 
     def translate(self, text: str) -> str:
         return accent_fold(text)
@@ -86,7 +85,6 @@ class WordShuffleTranslator:
     same text always shuffles the same way."""
 
     name = "word_shuffle_outside_spans"
-    deterministic = True
 
     def __init__(self, protected=(), seed: int = 0):
         self.protected = tuple(protected)
@@ -119,7 +117,6 @@ class DictionaryTranslator:
     """Phrase-table replacement, longest source phrase first."""
 
     name = "dictionary"
-    deterministic = True
 
     def __init__(self, mapping: dict):
         self.mapping = dict(mapping)
@@ -172,7 +169,11 @@ def make_translator(name: str, **options):
         raise ConfigurationError(
             f"unknown translator {name!r}; available: {', '.join(sorted(registry))}")
     if name == "dictionary" and "path" in options:
-        return DictionaryTranslator.from_file(options.pop("path"))
+        path = options.pop("path")
+        if options:
+            raise ConfigurationError(f"bad options for translator 'dictionary': "
+                                     f"path excludes {', '.join(sorted(options))}")
+        return DictionaryTranslator.from_file(path)
     try:
         return registry[name](**options)
     except (TypeError, ValueError) as exc:  # ValueError: dict() of a non-mapping
@@ -248,47 +249,29 @@ class Dropped:
             raise ValidationError(f"unknown drop reason {self.reason!r}")
 
 
-def _tags_from_spans(text: str, spans):
-    """Regenerate (tokens, tags) from located character spans; None when two
-    spans claim the same word or a span covers no word at all."""
-    words = tk.pretokenize_spans(text)
-    owner = [None] * len(words)
-    for k, span in enumerate(spans):
-        hit_any = False
-        for i, (_, ws, we) in enumerate(words):
-            if ws < span.end and we > span.start:
-                if owner[i] is not None and owner[i] != k:
-                    return None
-                owner[i] = k
-                hit_any = True
-        if not hit_any:
-            return None
-    tags, seen = [], set()
-    for i in range(len(words)):
-        k = owner[i]
-        if k is None:
-            tags.append("O")
-        else:
-            tags.append(("I-" if k in seen else "B-") + spans[k].label)
-            seen.add(k)
-    return tuple(w for w, _, _ in words), tuple(tags)
-
-
-def _locate_or_drop(example_uid, context, mention, source_start, source_length,
-                    translator, stats):
-    """(start, end) | Dropped for one mention."""
-    target = _translated(translator, mention)
-    if not target.strip():
-        return Dropped(example_uid, "mention_not_found",
-                       f"mention {mention!r} translated to nothing")
-    try:
-        hit = locate_mention(context, target, source_start, source_length, stats)
-    except AmbiguousMatch as exc:
-        return Dropped(example_uid, "ambiguous_after_policy", str(exc))
-    if hit is None:
-        return Dropped(example_uid, "mention_not_found",
-                       f"{target!r} not in translated context")
-    return hit[0], hit[1]
+def _relocate(uid, source, translated, mentions, translator, stats):
+    """Located (start, end) in `translated` of each (mention, start in
+    `source`), in order, or the first Dropped. Every mention is counted as an
+    annotation before it is located; one given as a Dropped (an empty RE
+    marker) is returned in its turn."""
+    if not translated.strip():
+        return Dropped(uid, "empty_translation")
+    located = []
+    for mention, start in mentions:
+        stats["annotations"] += 1
+        if isinstance(mention, Dropped):
+            return mention
+        target = _translated(translator, mention)
+        if not target.strip():
+            return Dropped(uid, "mention_not_found", f"mention {mention!r} translated to nothing")
+        try:
+            hit = locate_mention(translated, target, start, len(source), stats)
+        except AmbiguousMatch as exc:
+            return Dropped(uid, "ambiguous_after_policy", str(exc))
+        if hit is None:
+            return Dropped(uid, "mention_not_found", f"{target!r} not in translated context")
+        located.append(hit[:2])
+    return located
 
 
 def _spans_overlap(located) -> bool:
@@ -297,55 +280,42 @@ def _spans_overlap(located) -> bool:
 
 
 def _realign_ner(example, translator, stats):
-    source_text, spans = example.text, example.spans
-    translated = _translated(translator, source_text)
-    if not translated.strip():
-        return Dropped(example.uid, "empty_translation")
-    located = []
-    for span in spans:
-        stats["annotations"] += 1
-        mention = source_text[span.start: span.end]
-        got = _locate_or_drop(example.uid, translated, mention, span.start,
-                              len(source_text), translator, stats)
-        if isinstance(got, Dropped):
-            return got
-        located.append(ft.Span(got[0], got[1], span.label))
-    if translated == source_text and tuple(located) == tuple(spans):
+    text, spans = example.text, example.spans
+    translated = _translated(translator, text)
+    got = _relocate(example.uid, text, translated,
+                    [(text[s.start: s.end], s.start) for s in spans], translator, stats)
+    if isinstance(got, Dropped):
+        return got
+    located = [ft.Span(start, end, s.label) for (start, end), s in zip(got, spans)]
+    if translated == text and tuple(located) == spans:
         return example   # nothing moved: keep the input bit-for-bit
-    if _spans_overlap([(s.start, s.end) for s in located]):
-        return Dropped(example.uid, "ambiguous_after_policy",
-                       "located spans overlap")
-    regenerated = _tags_from_spans(translated, sorted(located, key=lambda s: s.start))
-    if regenerated is None:
-        return Dropped(example.uid, "ambiguous_after_policy",
-                       "located spans split a word")
-    tokens, tags = regenerated
-    return ft.NerExample(uid=example.uid, tokens=tokens, tags=tags,
-                         text=translated,
-                         spans=tuple(sorted(located, key=lambda s: s.start)))
+    if _spans_overlap(got):
+        return Dropped(example.uid, "ambiguous_after_policy", "located spans overlap")
+    located.sort(key=lambda s: s.start)
+    words = tk.pretokenize_spans(translated)
+    entities = ft.span_entities([(start, end) for _, start, end in words], located)
+    if any(e[0] is None for e in entities) or _spans_overlap([e[:2] for e in entities]):
+        return Dropped(example.uid, "ambiguous_after_policy", "located spans split a word")
+    return ft.NerExample(uid=example.uid, tokens=tuple(w for w, _, _ in words),
+                         tags=ft.bio_encode(entities, len(words)), text=translated,
+                         spans=tuple(located))
 
 
 def _realign_qa(example, translator, stats):
     context = _translated(translator, example.context)
-    if not context.strip():
-        return Dropped(example.uid, "empty_translation")
     question = _translated(translator, example.question)
-    if not question.strip():
+    if context.strip() and not question.strip():
         return Dropped(example.uid, "empty_translation", "question vanished")
-    answers = []
-    for answer in example.answers:
-        stats["annotations"] += 1
-        got = _locate_or_drop(example.uid, context, answer.text,
-                              answer.answer_start, len(example.context),
-                              translator, stats)
-        if isinstance(got, Dropped):
-            return got
-        answers.append(ft.Answer(context[got[0]: got[1]], got[0]))
+    got = _relocate(example.uid, example.context, context,
+                    [(a.text, a.answer_start) for a in example.answers], translator, stats)
+    if isinstance(got, Dropped):
+        return got
+    answers = tuple(ft.Answer(context[start: end], start) for start, end in got)
     if (context == example.context and question == example.question
-            and tuple(answers) == example.answers):
+            and answers == example.answers):
         return example
     return ft.QaExample(uid=example.uid, question=question, context=context,
-                        answers=tuple(answers))
+                        answers=answers)
 
 
 _MARKER = re.compile(r"<e(\d)>(.*?)</e\1>")
@@ -366,33 +336,20 @@ def _strip_markers(text: str):
 
 
 def _realign_re(example, translator, stats):
-    plain, mentions = _strip_markers(example.text)
+    plain, markers = _strip_markers(example.text)
     translated = _translated(translator, plain)
-    if not translated.strip():
-        return Dropped(example.uid, "empty_translation")
-    if not mentions:
-        if translated == plain:
-            return example
-        return ft.ReExample(uid=example.uid, text=translated,
-                            relation=example.relation)
-    located = []
-    for number, content, start in mentions:
-        stats["annotations"] += 1
-        if not content.strip():
-            return Dropped(example.uid, "mention_not_found",
-                           f"empty <e{number}> marker")
-        got = _locate_or_drop(example.uid, translated, content, start,
-                              len(plain), translator, stats)
-        if isinstance(got, Dropped):
-            return got
-        located.append((number, got[0], got[1]))
-    if _spans_overlap([(s, e) for _, s, e in located]):
-        return Dropped(example.uid, "ambiguous_after_policy",
-                       "located markers overlap")
+    got = _relocate(example.uid, plain, translated, [
+        (content if content.strip() else
+         Dropped(example.uid, "mention_not_found", f"empty <e{number}> marker"), start)
+        for number, content, start in markers], translator, stats)
+    if isinstance(got, Dropped):
+        return got
+    if _spans_overlap(got):
+        return Dropped(example.uid, "ambiguous_after_policy", "located markers overlap")
     rebuilt = translated
-    for number, s, e in sorted(located, key=lambda t: -t[1]):
-        rebuilt = (rebuilt[:s] + f"<e{number}>" + rebuilt[s:e]
-                   + f"</e{number}>" + rebuilt[e:])
+    for (number, _, _), (start, end) in sorted(zip(markers, got), key=lambda m: -m[1][0]):
+        rebuilt = (rebuilt[:start] + f"<e{number}>" + rebuilt[start:end]
+                   + f"</e{number}>" + rebuilt[end:])
     if rebuilt == example.text:
         return example
     return ft.ReExample(uid=example.uid, text=rebuilt, relation=example.relation)

@@ -22,14 +22,13 @@ import numpy as np
 from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as md
-from .autodiff import Tensor
+from .autodiff import IGNORE_INDEX, Tensor
 from .errors import (ConfigurationError, InputError, Record, ValidationError,
                      read_json_lines, read_text, write_text)
 from .mitigation import llrd_factors
-# adam_step stays importable from here: perfbench traces and tests that binding
 from .model import ModelState
-from .pretrain import (IGNORE_INDEX, _resolve_init, adam_step,  # noqa: F401
-                       pad_rows, train_step)
+# adam_step stays importable from here: perfbench traces and tests that binding
+from .pretrain import _resolve_init, adam_step, pad_rows, train_step  # noqa: F401
 from .seeding import substream
 from .tokenizer import (Vocabulary, _is_punct, encode, encode_with_offsets,
                         normalize)
@@ -101,7 +100,7 @@ class NerExample:
             if b.start < a.end:
                 raise ValidationError(f"{self.uid}: overlapping spans", items=[a, b])
         if given_text:
-            from_spans = _span_entities(self.uid, self.tokens, self.text, ordered)
+            from_spans = span_entities(word_offsets(self.uid, self.tokens, self.text), ordered)
             from_tags = bio_decode(self.tags)
             if from_spans != from_tags:
                 raise ValidationError(f"{self.uid}: spans disagree with the tags", items=[
@@ -170,17 +169,15 @@ class TaskDataset:
                 raise InputError(f"{self.task} dataset has an empty {name} split")
 
 
-def split_dataset(examples, seed: int, fractions=(0.8, 0.1, 0.1)):
-    """Random train/dev/test split for datasets that ship without one."""
+def split_dataset(examples, seed: int):
+    """Random 80/10/10 train/dev/test split for datasets that ship without one."""
     examples = list(examples)
     if len(examples) < 3:
         raise InputError(f"cannot split {len(examples)} examples three ways")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigurationError(f"split fractions {fractions} do not sum to 1")
     order = substream(seed, "split").permutation(len(examples))
     n = len(examples)
-    n_train = max(1, min(n - 2, int(round(fractions[0] * n))))
-    n_dev = max(1, min(n - n_train - 1, int(round(fractions[1] * n))))
+    n_train = max(1, min(n - 2, int(round(0.8 * n))))
+    n_dev = max(1, min(n - n_train - 1, int(round(0.1 * n))))
     picked = [examples[i] for i in order]
     return (tuple(picked[:n_train]),
             tuple(picked[n_train:n_train + n_dev]),
@@ -280,10 +277,8 @@ def _ner_text_from_tokens(tokens, tags):
     return text, spans
 
 
-def _span_entities(uid, tokens, text, spans):
-    """The (start, end, label) word ranges, as bio_decode gives them, of
-    character spans over a text that holds the tokens in order: a span takes
-    every word it overlaps, the rule realignment regenerates tags by."""
+def word_offsets(uid, tokens, text):
+    """(start, end) of each token, found in order in a text that holds them."""
     offsets, pos = [], 0
     for token in tokens:
         start = text.find(token, pos)
@@ -291,6 +286,13 @@ def _span_entities(uid, tokens, text, spans):
             raise ValidationError(f"{uid}: token not found in order in the text", items=[token])
         pos = start + len(token)
         offsets.append((start, pos))
+    return offsets
+
+
+def span_entities(offsets, spans):
+    """The (start, end, label) word ranges, as bio_decode gives them, of
+    character spans over words at `offsets`: a span takes every word it
+    overlaps, and one that overlaps none gives (None, None, label)."""
     entities = []
     for s in spans:
         words = [i for i, (start, end) in enumerate(offsets) if start < s.end and end > s.start]
@@ -396,6 +398,15 @@ def bio_decode(tags):
             start, label = i, tag[2:]
     close(len(tags))
     return tuple(spans)
+
+
+def bio_encode(entities, n_words):
+    """BIO tags for `n_words` words holding sorted, disjoint (start, end,
+    label) word ranges; bio_decode inverts it."""
+    tags = ["O"] * n_words
+    for start, end, label in entities:
+        tags[start: end] = ["B-" + label] + ["I-" + label] * (end - start - 1)
+    return tuple(tags)
 
 
 def ner_f1(gold, predicted) -> PRF:
@@ -901,15 +912,12 @@ def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePla
 
 
 def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
-                  seeds=(1, 2, 3, 4, 5), task: str = None,
+                  seeds=(1, 2, 3, 4, 5),
                   model_name: str = "model", baseline: TaskReport = None,
                   checkpoint_dir=None) -> FinetuneResult:
     """Train and evaluate one task head per seed; report test metrics at the
     dev-best epoch with mean/sample-sd across seeds."""
     plan = plan or FinetunePlan()
-    if task is not None and task != dataset.task:
-        raise ConfigurationError(f"requested task {task!r} but dataset is "
-                                 f"{dataset.task!r}")
     if not seeds:
         raise ConfigurationError("seed list is empty")
     if baseline is not None:

@@ -223,7 +223,7 @@ def _single_token_id(answer: str, vocab: Vocabulary):
     return vocab.ids.get(normalize(answer, vocab.lowercase))
 
 
-def mrr_top5(scorer, items, vocab: Vocabulary, max_seq_len: int, k: int = 5) -> MrrResult:
+def mrr_top5(scorer, items, vocab: Vocabulary, max_seq_len: int) -> MrrResult:
     """Mean over maskings of 1/rank within the model's top five, 0 when absent.
     Ties in probability break toward the lower token id."""
     rankings = []
@@ -242,7 +242,7 @@ def mrr_top5(scorer, items, vocab: Vocabulary, max_seq_len: int, k: int = 5) -> 
         lp = scorer(ids, np.ones_like(ids), position)
         _check_log_probs(lp)
         row = lp[0]
-        order = np.lexsort((np.arange(len(row)), -row))[:k]
+        order = np.lexsort((np.arange(len(row)), -row))[:5]
         top5 = [(vocab.tokens[i], float(math.exp(row[i]))) for i in order]
         where = np.nonzero(order == target)[0]
         rank = int(where[0]) + 1 if len(where) else 0

@@ -200,12 +200,10 @@ def attention_mask_bias(attention_mask: np.ndarray, dtype) -> np.ndarray:
 
 def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
                     attention_mask, train: bool = False,
-                    rng: np.random.Generator = None,
-                    attention_out: list = None) -> Tensor:
+                    rng: np.random.Generator = None) -> Tensor:
     """Hidden states (B, L, H). attention_mask is 1 at real positions, 0 at PAD.
 
-    train=True enables dropout (requires rng). attention_out, if a list,
-    receives each layer's post-softmax attention probabilities.
+    train=True enables dropout (requires rng).
     """
     input_ids = np.asarray(input_ids)
     segment_ids = np.asarray(segment_ids)
@@ -242,7 +240,7 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
         base = f"encoder.{i}"
         qkv = [params[f"{base}.attention.{proj}.{kind}"]
                for proj in "qkv" for kind in ("weight", "bias")]
-        ctx = ad.attention(x, *qkv, mask_bias, config.n_heads, drop, rng, attention_out)
+        ctx = ad.attention(x, *qkv, mask_bias, config.n_heads, drop, rng)
         attn = ad.dropout(_linear(ctx, params, f"{base}.attention.out"), drop, rng)
         x = _add_norm(x, attn, params, f"{base}.attention.norm", eps)
         ff = _linear(ad.gelu(_linear(x, params, f"{base}.ffn.in")), params, f"{base}.ffn.out")

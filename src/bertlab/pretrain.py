@@ -21,6 +21,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import mlmeval
 from . import model as md
+from .autodiff import IGNORE_INDEX
 from .errors import (ConfigurationError, DimensionError, InputError, NumericFault, Record,
                      ValidationError, read_json_lines, read_text, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
@@ -29,7 +30,6 @@ from .model import ModelState
 from .seeding import substream
 from .tokenizer import Vocabulary, encode
 
-IGNORE_INDEX = -100
 NSP_IS_NEXT = 0
 NSP_NOT_NEXT = 1
 

@@ -6,9 +6,11 @@ sha256 of every file it leaves there.
 runs vocab-train -> pretrain -> adapt --preset R12+, adapt --preset OR and
 an adapt that freezes one layer under mixout and LLRD (freeze.json; all three
 from the pretrained checkpoint) -> eval-mlm (held-out sentences and a
-masked set) -> finetune (NER, seeds 1 and 2) -> inspect --out inside DIR, a
-new directory, with relative paths, and prints one "sha256  relpath" line
-per file, sorted. The chain is seeded, so two commits that keep the same
+masked set) -> finetune (NER, seeds 1 and 2) -> inspect, plus a realign of
+the NER file through the dictionary translator and a lexicon that moves
+indices and lengthens the entity (realign.json), --out inside DIR, a new
+directory, with relative paths, and prints one "sha256  relpath" line per
+file, sorted. The chain is seeded, so two commits that keep the same
 bytes print the same lines: diff the output of each.
 """
 
@@ -36,6 +38,7 @@ COMMANDS = (
      "--checkpoint", "adapt-r12/checkpoint.ckpt"],
     ["inspect", "--checkpoint", "finetune/checkpoints/ner.seed1.ckpt",
      "--parent", "adapt-r12/checkpoint.ckpt", "--out", "inspect"],
+    ["realign", "--config", "realign.json", "--out", "realign"],
 )
 
 
@@ -66,6 +69,11 @@ def build(root) -> None:
             **cfg, "tasks": {"ner": {"data": "ner.conll"}},
             "finetune": {"epochs": 2, "batch_size": 8, "lr": 5e-3, "max_seq_len": 32,
                          "seeds": [1, 2]}})
+        Path("lexicon.tsv").write_text("alpha\tun alfa\nbeta\til beta\ndelta\tdelta forte\n",
+                                       encoding="utf-8")
+        save_config(Path("realign.json"), {"realign": {
+            "task": "ner", "data": "ner.conll", "translator": "dictionary",
+            "options": {"path": "lexicon.tsv"}}})
         for argv in COMMANDS[1:]:
             _run(argv)
     finally:

@@ -385,7 +385,6 @@ def _port_qa(n=20):
 
 class _DeleteMention:
     name = "delete-one-mention"
-    deterministic = True
 
     def __init__(self, needle):
         self.needle = needle

@@ -611,6 +611,16 @@ def test_realign_unknown_translator(tmp_path):
                            "--out", str(tmp_path / "out")]) == 3
 
 
+def test_realign_dictionary_path_rejects_other_options(tmp_path, capsys):
+    ner = write_ner(tmp_path / "ner.conll")
+    (tmp_path / "lex.tsv").write_text("delta\tdelta forte\n", encoding="utf-8")
+    cfg = save_config(tmp_path / "ra.json", {"realign": {
+        "task": "ner", "data": ner, "translator": "dictionary",
+        "options": {"path": str(tmp_path / "lex.tsv"), "mapping": {"x": "y"}}}})
+    assert entrypoint(["realign", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "path excludes mapping" in capsys.readouterr().err
+
+
 def test_realign_unknown_task(tmp_path):
     cfg = save_config(tmp_path / "ra.json", {
         "realign": {"task": "parsing", "translator": "identity", "data": "x"}})

@@ -34,7 +34,6 @@ def test_stub_registry():
     for name in ("identity", "uppercase", "accent_fold",
                  "word_shuffle_outside_spans"):
         translator = dp.make_translator(name)
-        assert translator.deterministic
         assert translator.name == name
 
 
@@ -76,6 +75,14 @@ def test_dictionary_from_file(tmp_path):
         dp.DictionaryTranslator.from_file(dupes)
     with pytest.raises(InputError):
         dp.DictionaryTranslator.from_file(tmp_path / "missing.tsv")
+
+
+def test_dictionary_path_takes_no_other_option(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_text("cancer\tcancro\n", encoding="utf-8")
+    assert dp.make_translator("dictionary", path=path).translate("cancer") == "cancro"
+    with pytest.raises(ConfigurationError, match="path excludes bogus, mapping"):
+        dp.make_translator("dictionary", path=path, mapping={"x": "y"}, bogus=1)
 
 
 def test_word_shuffle_deterministic_and_protective():
@@ -154,7 +161,6 @@ def test_locate_missing_and_empty():
 
 class Deleter:
     name = "deleter"
-    deterministic = True
 
     def __init__(self, phrase):
         self.phrase = phrase
@@ -165,7 +171,6 @@ class Deleter:
 
 class Blanker:
     name = "blanker"
-    deterministic = True
 
     def translate(self, text):
         return ""
@@ -173,7 +178,6 @@ class Blanker:
 
 class Exploder:
     name = "exploder"
-    deterministic = True
 
     def translate(self, text):
         raise RuntimeError("translation service unavailable")
@@ -201,7 +205,6 @@ def test_realign_ner_case_insensitive_tier_used():
     # context uppercased, mention left alone: only tier two can find it
     class ContextShouter:
         name = "shouter"
-        deterministic = True
 
         def translate(self, text):
             return text.upper() if " " in text else text
@@ -257,7 +260,6 @@ def test_realign_ner_empty_translation_drops():
 def test_realign_ner_ambiguous_tie_drops():
     class Tie:
         name = "tie"
-        deterministic = True
 
         def translate(self, text):
             return "a.a" if text == "zaz" else text
@@ -291,7 +293,6 @@ def test_translator_failure_propagates():
 def test_translator_type_check():
     class Wrong:
         name = "wrong"
-        deterministic = True
 
         def translate(self, text):
             return 42
@@ -332,7 +333,6 @@ def test_realign_qa_any_lost_answer_drops_example():
 def test_realign_qa_empty_question_drops():
     class QuestionEater:
         name = "qe"
-        deterministic = True
 
         def translate(self, text):
             return "" if text == "which gene" else text
@@ -486,3 +486,76 @@ def test_qa_drops_exceed_ner_under_shuffle():
     assert qa_report.drop_rate > 50.0
     # single words always survive a reordering
     assert ner_report.dropped["mention_not_found"] == 0
+
+
+# ---------------------------------------------------------------------------
+# realignment edge cases: tags regenerated over the translated words
+# ---------------------------------------------------------------------------
+
+
+def two_entity_example():
+    return ft.NerExample(uid="e", tokens=("ab", "bc"), tags=("B-X", "B-Y"),
+                         text="ab bc", spans=(ft.Span(0, 2, "X"), ft.Span(3, 5, "Y")))
+
+
+def test_realign_ner_two_spans_in_one_word_drop():
+    example = ft.NerExample(uid="w", tokens=("aa", "bb"), tags=("B-X", "B-Y"),
+                            text="aa bb", spans=(ft.Span(0, 2, "X"), ft.Span(3, 5, "Y")))
+    out = dp.realign_example(example, dp.DictionaryTranslator({"aa bb": "aabb"}))
+    assert out == dp.Dropped("w", "ambiguous_after_policy", "located spans split a word")
+
+
+def test_realign_ner_span_over_no_word_drops():
+    # a non-blank mention always lands on a word; a translator can only place
+    # one on bare whitespace by returning text whose strip() is not blank
+    class Spacer(str):
+        def strip(self, chars=None):
+            return "space"
+
+    class SecondMentionToSpace:
+        name = "second_mention_to_space"
+
+        def translate(self, text):
+            return Spacer(" ") if text == "bc" else text
+
+    out = dp.realign_example(two_entity_example(), SecondMentionToSpace())
+    assert out == dp.Dropped("e", "ambiguous_after_policy", "located spans split a word")
+
+
+def test_realign_ner_overlapping_located_spans_drop():
+    out = dp.realign_example(two_entity_example(), dp.DictionaryTranslator({"ab bc": "abc"}))
+    assert out == dp.Dropped("e", "ambiguous_after_policy", "located spans overlap")
+
+
+def test_realign_ner_partial_word_span_tags_whole_words():
+    example = ft.NerExample(
+        uid="p", tokens=("big", "lung", "cancer", "here"), tags=("O", "B-DIS", "I-DIS", "O"),
+        text="big lung cancer here", spans=(ft.Span(4, 15, "DIS"),))
+    d = dp.DictionaryTranslator({"big lung": "biglung", "cancer here": "cancerhere"})
+    out = dp.realign_example(example, d)
+    assert out.text == "biglung cancerhere"
+    assert out.spans == (ft.Span(3, 14, "DIS"),)
+    assert out.tokens == ("biglung", "cancerhere")
+    assert out.tags == ("B-DIS", "I-DIS")
+
+
+def test_realign_re_empty_marker_drops_in_marker_order():
+    from collections import Counter
+    example = ft.ReExample(uid="m", text="<e2>fever</e2> and <e1></e1> here",
+                           relation="treats")
+    stats = Counter()
+    out = dp.realign_example(example, dp.IdentityTranslator(), stats)
+    assert out == dp.Dropped("m", "mention_not_found", "empty <e1> marker")
+    assert stats == Counter(annotations=2, exact=1)
+    # the empty marker first: counted, then dropped before anything is located
+    first = ft.ReExample(uid="f", text="<e1> </e1> and <e2>fever</e2>", relation="x")
+    stats = Counter()
+    out = dp.realign_example(first, dp.IdentityTranslator(), stats)
+    assert out == dp.Dropped("f", "mention_not_found", "empty <e1> marker")
+    assert stats == Counter(annotations=1)
+
+
+def test_realign_re_overlapping_markers_drop():
+    example = ft.ReExample(uid="o", text="<e1>ab</e1> <e2>bc</e2>", relation="x")
+    out = dp.realign_example(example, dp.DictionaryTranslator({"ab bc": "abc"}))
+    assert out == dp.Dropped("o", "ambiguous_after_policy", "located markers overlap")

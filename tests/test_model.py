@@ -96,12 +96,18 @@ def test_pad_content_cannot_reach_real_positions():
     np.testing.assert_array_equal(base.data[:, :5, :], scrambled.data[:, :5, :])
 
 
-def test_attention_rows_sum_to_one_and_pad_columns_are_zero():
+def test_attention_rows_sum_to_one_and_pad_columns_are_zero(monkeypatch):
     config = small_config()
     params = md.init_params(config, substream(3, "init"))
     ids, seg, mask = make_batch(config, n_real=5)
-    collected = []
-    md.forward_encoder(params, config, ids, seg, mask, attention_out=collected)
+    collected, softmax = [], ad._softmax
+
+    def capture(x, axis, out=None):   # the attention probabilities, per layer
+        collected.append(softmax(x, axis, out=out))
+        return collected[-1]
+
+    monkeypatch.setattr(ad, "_softmax", capture)
+    md.forward_encoder(params, config, ids, seg, mask)
     assert len(collected) == config.n_layers
     for probs in collected:  # (B, nh, L, L)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
