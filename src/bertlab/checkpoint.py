@@ -13,16 +13,17 @@ fingerprint), the lineage (ordered ancestor checkpoint ids), the trained-step
 count, a tensor manifest {path, dtype, shape, offset, nbytes} sorted by path,
 and optionally the same for optimizer state. Identical model state serializes
 to identical bytes, so the checkpoint id — sha256 of the file — is a content
-hash. Reads are bounded: every allocation is validated against the actual
-file size before it happens, and every stored base-model tensor must have the
-shape the stored config needs. Writes go to a temp file renamed into place.
+hash. A load reads the file once and parses that buffer; the id it reports is
+the sha256 of those bytes, so it always names the weights returned. Every
+array is validated against the buffer's length before it is copied out, and
+every stored base-model tensor must have the shape the stored config needs.
+Writes go to a temp file renamed into place.
 """
 
 import hashlib
 import itertools
 import json
 import math
-import os
 
 import numpy as np
 
@@ -109,60 +110,51 @@ def _fail(position: int, why: str):
     raise IntegrityError(f"corrupt checkpoint at byte {position}: {why}")
 
 
-def _read_exact(fh, n: int, position: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        _fail(position + len(data), f"truncated while reading {what} "
-                                    f"(wanted {n} bytes, got {len(data)})")
-    return data
-
-
 def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
-    """The saved ModelState, with the file's sha256 as its checkpoint id,
-    after parsing and validating the container. `expect_vocab`, when given, must
-    match the stored vocabulary fingerprint — adaptation chains share one
+    """The saved ModelState, read once, with the sha256 of the bytes it was
+    parsed from as its checkpoint id. `expect_vocab`, when given, must match
+    the stored vocabulary fingerprint — adaptation chains share one
     vocabulary, and a mismatch is a configuration error, not corruption."""
     try:
-        size = os.stat(path).st_size
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IntegrityError(f"cannot open checkpoint {path}: {exc}") from exc
-    with fh:
-        magic = _read_exact(fh, 8, 0, "magic")
-        if magic != MAGIC:
-            _fail(0, f"bad magic {magic!r}")
-        version = int.from_bytes(_read_exact(fh, 4, 8, "version"), "little")
-        if version != VERSION:
-            _fail(8, f"unsupported format version {version}")
-        header_len = int.from_bytes(_read_exact(fh, 4, 12, "header length"), "little")
-        if _HEADER_START + header_len > size:
-            _fail(12, f"header length {header_len} exceeds file size {size}")
-        try:
-            header = parse_json(
-                _read_exact(fh, header_len, _HEADER_START, "header").decode("utf-8"))
-        except ValueError as exc:  # bad JSON, UTF-8 or surrogate, or an int past the digit limit
-            _fail(_HEADER_START, f"header is not valid JSON ({exc})")
-        if not isinstance(header, dict):
-            _fail(_HEADER_START, "header is not a JSON object")
+    size = len(data)
+    if size < _HEADER_START:
+        _fail(size, f"truncated framing (wanted {_HEADER_START} bytes, got {size})")
+    if data[:8] != MAGIC:
+        _fail(0, f"bad magic {data[:8]!r}")
+    version = int.from_bytes(data[8:12], "little")
+    if version != VERSION:
+        _fail(8, f"unsupported format version {version}")
+    header_len = int.from_bytes(data[12:16], "little")
+    payload_start = _HEADER_START + header_len
+    if payload_start > size:
+        _fail(12, f"header length {header_len} exceeds file size {size}")
+    try:
+        header = parse_json(data[_HEADER_START:payload_start].decode("utf-8"))
+    except ValueError as exc:  # bad JSON, UTF-8 or surrogate, or an int past the digit limit
+        _fail(_HEADER_START, f"header is not valid JSON ({exc})")
+    if not isinstance(header, dict):
+        _fail(_HEADER_START, "header is not a JSON object")
 
-        payload_start = _HEADER_START + header_len
-        payload_size = size - payload_start
-        manifest = header.get("manifest")
-        opt_manifest = header.get("optimizer_manifest", [])
-        if not isinstance(manifest, list):
-            _fail(_HEADER_START, "header has no tensor manifest")
-        if not isinstance(opt_manifest, list):
-            _fail(_HEADER_START, "optimizer manifest is not a list")
-        _validate_manifest(manifest + opt_manifest, payload_start, payload_size)
+    manifest = header.get("manifest")
+    opt_manifest = header.get("optimizer_manifest", [])
+    if not isinstance(manifest, list):
+        _fail(_HEADER_START, "header has no tensor manifest")
+    if not isinstance(opt_manifest, list):
+        _fail(_HEADER_START, "optimizer manifest is not a list")
+    _validate_manifest(manifest + opt_manifest, payload_start, size - payload_start)
 
-        def read_array(entry):
-            pos = payload_start + entry["offset"]
-            fh.seek(pos)
-            raw = _read_exact(fh, entry["nbytes"], pos, f"tensor {entry['path']}")
-            return np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
+    def read_array(entry):
+        # copied out: payload offsets are not aligned, and the buffer is dropped
+        dtype = _DTYPES[entry["dtype"]]
+        return np.frombuffer(data, dtype, entry["nbytes"] // dtype.itemsize,
+                             payload_start + entry["offset"]).reshape(entry["shape"]).copy()
 
-        params = {e["path"]: Tensor(read_array(e), requires_grad=True) for e in manifest}
-        opt_arrays = {e["path"]: read_array(e) for e in opt_manifest}
+    params = {e["path"]: Tensor(read_array(e), requires_grad=True) for e in manifest}
+    opt_arrays = {e["path"]: read_array(e) for e in opt_manifest}
 
     lineage, step = header.get("lineage", []), header.get("step", 0)
     opt_t = header.get("optimizer_t", {})
@@ -193,7 +185,7 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
             vocab=Vocabulary.from_tokens(header["vocab_tokens"],
                                          lowercase=header.get("vocab_lowercase", False)),
             step=step, optimizer_state=optimizer_state, lineage=tuple(lineage),
-            checkpoint_id=file_sha256(path))
+            checkpoint_id=hashlib.sha256(data).hexdigest())
     except (KeyError, TypeError, ConfigurationError, ValidationError) as exc:
         _fail(_HEADER_START, f"invalid config record ({exc})")
     if state.fingerprint != header.get("vocab_fingerprint"):
@@ -244,14 +236,6 @@ def _validate_manifest(entries, payload_start: int, payload_size: int) -> None:
     for (s1, e1, p1), (s2, e2, p2) in zip(spans, spans[1:]):
         if s2 < e1:
             _fail(payload_start + s2, f"tensors {p1!r} and {p2!r} overlap")
-
-
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def verify_lineage(child: md.ModelState, parent: md.ModelState) -> list:

@@ -87,6 +87,12 @@ class WordShuffleTranslator:
     name = "word_shuffle_outside_spans"
 
     def __init__(self, protected=(), seed: int = 0):
+        if not (isinstance(protected, (list, tuple))
+                and all(isinstance(p, str) for p in protected)):
+            raise ConfigurationError(f"{self.name}: protected must be a list of "
+                                     f"strings, not {protected!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ConfigurationError(f"{self.name}: seed must be an integer, not {seed!r}")
         self.protected = tuple(protected)
         self.seed = seed
 
@@ -181,11 +187,12 @@ def make_translator(name: str, **options):
 
 
 def _translated(translator, text: str) -> str:
+    """The translation as an exact str, so no subclass method can run on it."""
     out = translator.translate(text)
     if not isinstance(out, str):
         raise TypeError(f"translator {getattr(translator, 'name', '?')!r} "
                         f"returned {type(out).__name__}, not text")
-    return out
+    return str.__str__(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +301,7 @@ def _realign_ner(example, translator, stats):
     located.sort(key=lambda s: s.start)
     words = tk.pretokenize_spans(translated)
     entities = ft.span_entities([(start, end) for _, start, end in words], located)
-    if any(e[0] is None for e in entities) or _spans_overlap([e[:2] for e in entities]):
+    if _spans_overlap([e[:2] for e in entities]):
         return Dropped(example.uid, "ambiguous_after_policy", "located spans split a word")
     return ft.NerExample(uid=example.uid, tokens=tuple(w for w, _, _ in words),
                          tags=ft.bio_encode(entities, len(words)), text=translated,

@@ -99,8 +99,6 @@ def _identity_with_backward(t, grad_of):
 CHECKERS = {
     "grad_check": lambda f, x: ad.grad_check(f, x),
     "grad_check_params": lambda f, x: ad.grad_check_params(lambda: f(x), {"x": x})["x"],
-    "grad_check_params-max_coords":
-        lambda f, x: ad.grad_check_params(lambda: f(x), {"x": x}, max_coords=3)["x"],
 }
 
 

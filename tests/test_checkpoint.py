@@ -2,6 +2,7 @@
 hash stability under re-serialization, byte-positioned integrity failures on
 tampered files, vocabulary-fingerprint enforcement, and lineage verification."""
 
+import hashlib
 import json
 import os
 import sys
@@ -133,7 +134,26 @@ def test_reserialization_of_unmodified_model_keeps_the_hash(saved, tmp_path):
 
 def test_checkpoint_id_is_the_file_content_hash(saved):
     _, _, _, _, path, cid = saved
-    assert ck.file_sha256(path) == cid
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == cid
+
+
+def test_checkpoint_id_names_the_weights_loaded_when_the_file_is_replaced(saved, monkeypatch):
+    # another run saves over the path while the load is still parsing
+    vocab, config, params, _, path, _ = saved
+    a_bytes = path.read_bytes()
+    b_config, b_params = tiny_model(vocab, seed=1)
+    b_state = md.ModelState(config=b_config, params=b_params, vocab=vocab)
+    from_tokens = ck.Vocabulary.from_tokens
+
+    def replace_then_build(*args, **kwargs):
+        ck.save_checkpoint(path, b_state)
+        return from_tokens(*args, **kwargs)
+    monkeypatch.setattr(ck.Vocabulary, "from_tokens", replace_then_build)
+    loaded = ck.load_checkpoint(path)
+    assert path.read_bytes() != a_bytes
+    for p, t in params.items():
+        np.testing.assert_array_equal(loaded.params[p].data, t.data)
+    assert loaded.checkpoint_id == hashlib.sha256(a_bytes).hexdigest()
 
 
 def test_modified_parameter_changes_the_hash(saved, tmp_path):

@@ -621,6 +621,20 @@ def test_realign_dictionary_path_rejects_other_options(tmp_path, capsys):
     assert "path excludes mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, why", [
+    ({"protected": "lung cancer"}, "protected must be a list of strings"),
+    ({"protected": [1]}, "protected must be a list of strings"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+], ids=["string", "non-string", "string-seed", "bool-seed"])
+def test_realign_word_shuffle_rejects_bad_options(tmp_path, capsys, options, why):
+    cfg = save_config(tmp_path / "ra.json", {"realign": {
+        "task": "ner", "data": write_ner(tmp_path / "ner.conll"),
+        "translator": "word_shuffle_outside_spans", "options": options}})
+    assert entrypoint(["realign", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert why in capsys.readouterr().err
+
+
 def test_realign_unknown_task(tmp_path):
     cfg = save_config(tmp_path / "ra.json", {
         "realign": {"task": "parsing", "translator": "identity", "data": "x"}})

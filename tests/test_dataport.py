@@ -98,6 +98,23 @@ def test_word_shuffle_deterministic_and_protective():
     assert dp.WordShuffleTranslator().translate(text) != text
 
 
+@pytest.mark.parametrize("options, why", [
+    ({"protected": "lung cancer"}, "protected must be a list of strings"),
+    ({"protected": ["lung cancer", 1]}, "protected must be a list of strings"),
+    ({"protected": {"lung cancer"}}, "protected must be a list of strings"),
+    ({"seed": "x"}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": 1.0}, "seed must be an integer"),
+], ids=["string", "non-string", "set", "string-seed", "bool-seed", "float-seed"])
+def test_word_shuffle_rejects_bad_options(options, why):
+    with pytest.raises(ConfigurationError, match=why):
+        dp.WordShuffleTranslator(**options)
+    with pytest.raises(ConfigurationError, match=why):
+        dp.make_translator("word_shuffle_outside_spans", **options)
+    assert dp.make_translator("word_shuffle_outside_spans", protected=["lung cancer"],
+                              seed=2).protected == ("lung cancer",)
+
+
 def test_word_shuffle_varies_with_text_and_seed():
     a = dp.WordShuffleTranslator().translate("one two three four five six")
     b = dp.WordShuffleTranslator().translate("one two three four five seven")
@@ -506,8 +523,8 @@ def test_realign_ner_two_spans_in_one_word_drop():
 
 
 def test_realign_ner_span_over_no_word_drops():
-    # a non-blank mention always lands on a word; a translator can only place
-    # one on bare whitespace by returning text whose strip() is not blank
+    # a non-blank mention always lands on a word; a str subclass whose strip()
+    # lies is read as the exact str it holds, so a blank one is caught as blank
     class Spacer(str):
         def strip(self, chars=None):
             return "space"
@@ -519,7 +536,7 @@ def test_realign_ner_span_over_no_word_drops():
             return Spacer(" ") if text == "bc" else text
 
     out = dp.realign_example(two_entity_example(), SecondMentionToSpace())
-    assert out == dp.Dropped("e", "ambiguous_after_policy", "located spans split a word")
+    assert out == dp.Dropped("e", "mention_not_found", "mention 'bc' translated to nothing")
 
 
 def test_realign_ner_overlapping_located_spans_drop():

@@ -307,9 +307,9 @@ def test_dropout_changes_training_forward():
 
 
 def test_end_to_end_gradient_check_mlm_nsp():
-    # sampled coordinates here; the acceptance suite sweeps every coordinate
+    # every coordinate of a narrow model, so the sweep stays about a second
     with ad.precision("float64"):
-        config = small_config(max_seq_len=8)
+        config = small_config(max_seq_len=8, hidden_dim=8, n_heads=2, ff_dim=8)
         params = md.init_params(config, substream(12, "init"))
         ids, seg, mask = make_batch(config, b=2, length=6, n_real=4, seed=3)
         labels = np.full(ids.shape, -100)
@@ -322,7 +322,7 @@ def test_end_to_end_gradient_check_mlm_nsp():
             return ad.add(ad.cross_entropy(md.mlm_logits(hidden, params, config), labels),
                           ad.cross_entropy(md.nsp_logits(hidden, params), nsp))
 
-        errs = ad.grad_check_params(loss, params, max_coords=5)
+        errs = ad.grad_check_params(loss, params)
         worst = max(errs.values())
         assert worst < 1e-4, max(errs, key=errs.get)
 
