@@ -717,16 +717,16 @@ def grad_check_params(f, params) -> dict:
 
 
 def _central_differences(f, x: Tensor) -> np.ndarray:
-    flat = x.data.reshape(-1)
-    numeric = np.zeros(flat.size, dtype=np.float64)
+    # perturb x.data itself, in the analytic gradient's C order: a reshape copies
+    numeric = np.zeros(x.data.size, dtype=np.float64)
     with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + _FD_STEP
+        for i, idx in enumerate(np.ndindex(x.data.shape)):
+            orig = x.data[idx]
+            x.data[idx] = orig + _FD_STEP
             fp = float(f().data)
-            flat[i] = orig - _FD_STEP
+            x.data[idx] = orig - _FD_STEP
             fm = float(f().data)
-            flat[i] = orig
+            x.data[idx] = orig
             numeric[i] = (fp - fm) / (2.0 * _FD_STEP)
     if not np.isfinite(numeric).all():
         raise NumericFault("grad_check: non-finite finite-difference value")

@@ -5,6 +5,7 @@ go through, so one place decides how each input is read and written."""
 import dataclasses
 import json
 import math
+import numbers
 import os
 
 
@@ -150,9 +151,27 @@ def typed(value, kind, where: str):
     return value
 
 
+def within(interval: str, default=dataclasses.MISSING):
+    """A record field whose number must lie in `interval`, "[0, 1)" or
+    "(0, inf)" say; Record checks it whenever the record is built."""
+    return dataclasses.field(default=default, metadata={"within": interval})
+
+
 class Record:
-    """Base of the dataclass config records and their one reader and writer.
-    A field is an int, float, bool or Record; None only where it is the default."""
+    """Base of the dataclass config records and their one reader, writer and
+    range check. A field is an int, float, bool or Record; None only where it
+    is the default. A number declares its range with `within`; NaN lies in none."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, interval = getattr(self, f.name), f.metadata.get("within")
+            if not interval or value is None and f.default is None:
+                continue
+            lo, hi = map(float, interval[1:-1].split(","))
+            if not (isinstance(value, numbers.Real)
+                    and (lo <= value if interval[0] == "[" else lo < value)
+                    and (value <= hi if interval[-1] == "]" else value < hi)):
+                raise ConfigurationError(f"{f.name} {value!r} outside {interval}")
 
     def to_dict(self) -> dict:
         return {f.name: v.to_dict() if isinstance(v := getattr(self, f.name), Record) else v

@@ -24,7 +24,7 @@ from . import checkpoint as ckpt
 from . import model as md
 from .autodiff import IGNORE_INDEX, Tensor
 from .errors import (ConfigurationError, InputError, Record, ValidationError,
-                     read_json_lines, read_text, write_text)
+                     read_json_lines, read_text, typed, within, write_text)
 from .mitigation import llrd_factors
 from .model import ModelState
 # adam_step stays importable from here: perfbench traces and tests that binding
@@ -167,6 +167,8 @@ class TaskDataset:
             object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise InputError(f"{self.task} dataset has an empty {name} split")
+        if self.negative_label is not None:
+            typed(self.negative_label, str, "negative_label")
 
 
 def split_dataset(examples, seed: int):
@@ -598,31 +600,17 @@ def best_span(start_row: np.ndarray, end_row: np.ndarray, lo: int, hi: int,
 
 @dataclass(frozen=True)
 class FinetunePlan(Record):
-    lr: float = 3e-5
-    batch_size: int = 16
-    epochs: int = 10
-    max_seq_len: int = 128
-    llrd_decay: float = None
-    patience: int = None          # epochs without dev improvement before stopping
-    max_answer_pieces: int = 30
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigurationError(f"lr {self.lr} must be positive")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigurationError("batch_size and epochs must be at least 1")
-        if self.max_seq_len < 8:
-            raise ConfigurationError(f"max_seq_len {self.max_seq_len} below 8")
-        if self.llrd_decay is not None and not 0.0 < self.llrd_decay <= 1.0:
-            raise ConfigurationError(f"llrd_decay {self.llrd_decay} outside (0, 1]")
-        if self.patience is not None and self.patience < 1:
-            raise ConfigurationError(f"patience {self.patience} below 1")
-        if self.max_answer_pieces < 1:
-            raise ConfigurationError("max_answer_pieces below 1")
+    lr: float = within("(0, inf)", 3e-5)
+    batch_size: int = within("[1, inf)", 16)
+    epochs: int = within("[1, inf)", 10)
+    max_seq_len: int = within("[8, inf)", 128)
+    llrd_decay: float = within("(0, 1]", None)
+    patience: int = within("[1, inf)", None)  # epochs without dev improvement before stopping
+    max_answer_pieces: int = within("[1, inf)", 30)
+    adam_beta1: float = within("[0, 1)", 0.9)
+    adam_beta2: float = within("[0, 1)", 0.999)
+    adam_eps: float = within("(0, inf)", 1e-8)
+    weight_decay: float = within("[0, inf)", 0.01)
 
 
 @dataclass(frozen=True)

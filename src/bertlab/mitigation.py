@@ -14,29 +14,17 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .errors import ConfigurationError, Record
+from .errors import ConfigurationError, Record, within
 
 
 @dataclass(frozen=True)
 class CFConfig(Record):
     """Mitigation switches; None means off."""
-    llrd_decay: float = None
-    warmup_fraction: float = None
-    freeze_layers: int = None
-    mixout_p: float = None
-    replay_every: int = None
-
-    def __post_init__(self):
-        if self.llrd_decay is not None and not 0.0 < self.llrd_decay <= 1.0:
-            raise ConfigurationError(f"llrd_decay {self.llrd_decay} outside (0, 1]")
-        if self.warmup_fraction is not None and not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigurationError(f"warmup_fraction {self.warmup_fraction} outside [0, 1)")
-        if self.freeze_layers is not None and self.freeze_layers < 0:
-            raise ConfigurationError(f"freeze_layers {self.freeze_layers} negative")
-        if self.mixout_p is not None and not 0.0 <= self.mixout_p < 1.0:
-            raise ConfigurationError(f"mixout_p {self.mixout_p} outside [0, 1)")
-        if self.replay_every is not None and self.replay_every < 1:
-            raise ConfigurationError(f"replay_every {self.replay_every} below 1")
+    llrd_decay: float = within("(0, 1]", None)
+    warmup_fraction: float = within("[0, 1)", None)
+    freeze_layers: int = within("[0, inf)", None)
+    mixout_p: float = within("[0, 1)", None)
+    replay_every: int = within("[1, inf)", None)
 
     def validate(self, n_layers: int) -> None:
         """Checks that need the model config; warns on unvalidated combinations."""

@@ -24,7 +24,7 @@ from scipy.stats import truncnorm
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigurationError, Record
+from .errors import ConfigurationError, Record, within
 from .tokenizer import Vocabulary
 
 INIT_STD = 0.02
@@ -34,26 +34,22 @@ MASK_BIAS = -1e9
 
 @dataclass(frozen=True)
 class ModelConfig(Record):
-    n_layers: int
-    hidden_dim: int
-    n_heads: int
-    ff_dim: int
-    max_seq_len: int
-    vocab_size: int
-    n_segment_types: int = 2
-    dropout_rate: float = 0.1
+    n_layers: int = within("[1, inf)")
+    hidden_dim: int = within("[1, inf)")
+    n_heads: int = within("[1, inf)")
+    ff_dim: int = within("[1, inf)")
+    max_seq_len: int = within("[1, inf)")
+    vocab_size: int = within("[1, inf)")
+    n_segment_types: int = within("[1, inf)", 2)
+    dropout_rate: float = within("[0, 1)", 0.1)
     tie_mlm_decoder: bool = True
-    layer_norm_eps: float = LAYER_NORM_EPS
+    layer_norm_eps: float = within("(0, inf)", LAYER_NORM_EPS)
 
     def __post_init__(self):
-        if min(self.n_layers, self.hidden_dim, self.n_heads, self.ff_dim,
-               self.max_seq_len, self.vocab_size, self.n_segment_types) <= 0:
-            raise ConfigurationError(f"model dimensions must be positive: {self}")
+        super().__post_init__()
         if self.hidden_dim % self.n_heads:
             raise ConfigurationError(
                 f"hidden_dim {self.hidden_dim} not divisible by n_heads {self.n_heads}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
 
     @property
     def head_dim(self):

@@ -23,7 +23,7 @@ from . import mlmeval
 from . import model as md
 from .autodiff import IGNORE_INDEX
 from .errors import (ConfigurationError, DimensionError, InputError, NumericFault, Record,
-                     ValidationError, read_json_lines, read_text, write_text)
+                     ValidationError, read_json_lines, read_text, within, write_text)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .model import ModelState
@@ -101,46 +101,31 @@ def split_heldout(corpus: Corpus, fraction: float):
 
 @dataclass(frozen=True)
 class TrainPlan(Record):
-    peak_lr: float
-    total_steps: int
-    batch_size: int
-    warmup_fraction: float = 0.0
+    peak_lr: float = within("(0, inf)")
+    total_steps: int = within("[0, inf)")
+    batch_size: int = within("[1, inf)")
+    warmup_fraction: float = within("[0, 1)", 0.0)
     seed: int = 0
-    max_seq_len: int = 128
+    max_seq_len: int = within("[8, inf)", 128)
     cf: CFConfig = None
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    mask_rate: float = 0.15
-    mask_prob: float = 0.8
-    random_prob: float = 0.1
+    adam_beta1: float = within("[0, 1)", 0.9)
+    adam_beta2: float = within("[0, 1)", 0.999)
+    adam_eps: float = within("(0, inf)", 1e-8)
+    weight_decay: float = within("[0, inf)", 0.01)
+    mask_rate: float = within("(0, 1)", 0.15)
+    mask_prob: float = within("[0, 1]", 0.8)
+    random_prob: float = within("[0, 1]", 0.1)
     mask_only: bool = False
     whole_word_masking: bool = False
-    heldout_fraction: float = 0.05
-    eval_every: int = 100
-    eval_sentences: int = 8
+    heldout_fraction: float = within("[0, 1)", 0.05)
+    eval_every: int = within("[1, inf)", 100)
+    eval_sentences: int = within("[0, inf)", 8)
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
-            raise ConfigurationError(f"peak_lr {self.peak_lr} must be positive")
-        if self.total_steps < 0:
-            raise ConfigurationError(f"total_steps {self.total_steps} negative")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size {self.batch_size} below 1")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ConfigurationError(f"warmup_fraction {self.warmup_fraction} outside [0, 1)")
-        if self.max_seq_len < 8:
-            raise ConfigurationError(f"max_seq_len {self.max_seq_len} below 8")
-        if not 0.0 < self.mask_rate < 1.0:
-            raise ConfigurationError(f"mask_rate {self.mask_rate} outside (0, 1)")
-        if self.mask_prob < 0 or self.random_prob < 0 or self.mask_prob + self.random_prob > 1.0:
+        super().__post_init__()
+        if self.mask_prob + self.random_prob > 1.0:
             raise ConfigurationError(
                 f"corruption split {self.mask_prob}/{self.random_prob} invalid")
-        if not 0.0 <= self.heldout_fraction < 1.0:
-            raise ConfigurationError(f"heldout_fraction {self.heldout_fraction} outside [0, 1)")
-        if self.eval_every < 1:
-            raise ConfigurationError(f"eval_every {self.eval_every} below 1")
 
     @property
     def effective_warmup_fraction(self):

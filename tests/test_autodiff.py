@@ -110,6 +110,13 @@ def test_checker_reports_a_wrong_backward(check):
 
 
 @pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
+def test_checker_passes_a_correct_op_on_a_non_contiguous_input(check):
+    x = Tensor(np.random.default_rng(32).random((3, 4)).T, requires_grad=True)
+    assert not x.data.flags["C_CONTIGUOUS"]
+    assert check(lambda t: ad.sum_all(ad.mul(t, t)), x) < FD_TOL
+
+
+@pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
 def test_checker_rejects_a_non_finite_analytic_gradient(check):
     x = rand((4, 5), seed=31)
     nan = lambda t: ad.sum_all(_identity_with_backward(t, lambda g: g * np.nan))

@@ -369,6 +369,7 @@ STRUCTURED_FAULTS = {
     # json.dumps writes NaN, which json.loads reads back
     "layer-norm-eps-is-nan":
         lambda h: {**h, "config": {**h["config"], "layer_norm_eps": float("nan")}},
+    "layer-norm-eps-is-zero": lambda h: {**h, "config": {**h["config"], "layer_norm_eps": 0.0}},
 }
 
 

@@ -40,6 +40,13 @@ def write_ner(path, n=20):
     return str(path)
 
 
+def write_re(path, n=12):
+    rows = [{"id": f"r{i}", "text": f"{WORDS[i % 4]} delta",
+             "relation": ("treats", "none")[i % 2]} for i in range(n)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return str(path)
+
+
 def write_masked_set(path):
     rows = [
         {"id": "m1", "text": "alpha delta epsilon",
@@ -276,6 +283,33 @@ def test_mistyped_or_missing_section_value_is_configuration_error(
     err = capsys.readouterr().err
     assert (f"missing {key!r}" if value == "missing" else f"{section}.{key}") in err
     assert (out / "run.log").read_text(encoding="utf-8") == ""   # failed before the run
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("pretrain", "pretrain.adam_beta2", 1.0),
+    ("pretrain", "pretrain.adam_eps", 0),
+    ("pretrain", "pretrain.eval_sentences", -1),
+    ("pretrain", "model.layer_norm_eps", 0),
+    ("finetune", "finetune.adam_beta1", 1.0),
+    ("finetune", "tasks.re.negative_label", 5),
+], ids=lambda v: str(v))
+def test_out_of_range_setting_fails_before_the_run(pipeline, tmp_path, capsys,
+                                                   command, key, value):
+    # each of these once started the run: it finished, hit a NumericFault or crashed untyped
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["tasks"] = {"re": {"data": write_re(tmp_path / "re.jsonl")}}
+    cfg["finetune"] = {"epochs": 1, "seeds": [1], "max_seq_len": 32}
+    *path, name = key.split(".")
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[name] = value
+    out = tmp_path / "out"
+    flags = ["--checkpoint", pipeline["adapted_ckpt"]] if command == "finetune" else []
+    assert entrypoint([command, "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out)] + flags) == 3
+    assert name in capsys.readouterr().err
+    assert not (out / "checkpoint.ckpt").exists() and not (out / "checkpoints").exists()
 
 
 @pytest.mark.parametrize("key, value", [

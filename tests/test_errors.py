@@ -187,6 +187,13 @@ def test_every_record_field_has_a_type_from_dict_checks():
             assert f.type in FIELD_TYPES or (isinstance(f.type, type)
                                              and issubclass(f.type, Record)), \
                 f"{record.__name__}.{f.name}: {f.type!r}"
+            # every number but a seed declares the range Record checks
+            if f.type in (int, float) and f.name != "seed":
+                interval = f.metadata.get("within")
+                assert interval and interval[0] in "[(" and interval[-1] in ")]", \
+                    f"{record.__name__}.{f.name}: {interval!r}"
+                lo, hi = map(float, interval[1:-1].split(","))
+                assert lo <= hi, f"{record.__name__}.{f.name}: {interval}"
 
 
 PLAN = {"peak_lr": 1e-3, "total_steps": 4, "batch_size": 2}

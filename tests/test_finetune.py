@@ -221,6 +221,13 @@ def test_label_coverage():
     ft.check_label_coverage(ok)
 
 
+@pytest.mark.parametrize("label", [5, True, ["none"]], ids=["int", "bool", "list"])
+def test_negative_label_must_be_a_string(label):
+    ds = re_dataset()
+    with pytest.raises(ConfigurationError, match="negative_label must be str"):
+        ft.TaskDataset("re", ds.train, ds.dev, ds.test, negative_label=label)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -582,6 +589,8 @@ def test_featurize_re(vocab, state):
     {"lr": 0.0}, {"lr": -1e-5}, {"batch_size": 0}, {"epochs": 0},
     {"max_seq_len": 4}, {"llrd_decay": 0.0}, {"llrd_decay": 1.5},
     {"patience": 0}, {"max_answer_pieces": 0},
+    {"adam_beta1": 1.0}, {"adam_beta2": 1.0}, {"adam_eps": 0.0}, {"weight_decay": -0.01},
+    {"lr": float("nan")}, {"epochs": None},
 ])
 def test_plan_rejects(kw):
     with pytest.raises(ConfigurationError):

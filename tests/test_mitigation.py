@@ -68,7 +68,8 @@ def test_unknown_preset_lists_available():
 
 def test_cfconfig_range_validation():
     for kw in (dict(llrd_decay=0.0), dict(llrd_decay=1.5), dict(warmup_fraction=1.0),
-               dict(mixout_p=1.0), dict(replay_every=0), dict(freeze_layers=-1)):
+               dict(mixout_p=1.0), dict(replay_every=0), dict(freeze_layers=-1),
+               dict(llrd_decay=float("nan")), dict(mixout_p="0.9")):
         with pytest.raises(ConfigurationError):
             mit.CFConfig(**kw)
 

@@ -41,6 +41,14 @@ def test_config_rejects_indivisible_heads():
         small_config(hidden_dim=30, n_heads=4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_layers", 0), ("vocab_size", -1), ("dropout_rate", 1.0), ("layer_norm_eps", 0.0),
+])
+def test_config_rejects_a_value_outside_its_range(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} {value!r} outside"):
+        small_config(**{field: value})
+
+
 def test_forward_rejects_out_of_vocab_ids():
     config = small_config()
     params = md.init_params(config, substream(0, "init"))

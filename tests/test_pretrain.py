@@ -138,6 +138,14 @@ def test_split_heldout_keeps_at_least_one_on_each_side():
     {"heldout_fraction": 1.0},
     {"eval_every": 0},
     {"max_seq_len": 4},
+    {"adam_beta1": 1.0},
+    {"adam_beta2": 1.0},
+    {"adam_eps": 0.0},
+    {"weight_decay": -0.01},
+    {"eval_sentences": -1},
+    {"peak_lr": float("inf")},
+    {"peak_lr": None},
+    {"mask_prob": float("nan")},
 ])
 def test_plan_rejects_bad_values(overrides):
     with pytest.raises(ConfigurationError):
