@@ -163,15 +163,22 @@ class Record:
     is the default. A number declares its range with `within`; NaN lies in none."""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value, interval = getattr(self, f.name), f.metadata.get("within")
-            if not interval or value is None and f.default is None:
+        self._check_ranges({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+
+    @classmethod
+    def _check_ranges(cls, values: dict, what: str = None) -> None:
+        """ConfigurationError for the first value outside its field's range,
+        named `what.field` when a section is given."""
+        for f in dataclasses.fields(cls):
+            value, interval = values.get(f.name), f.metadata.get("within")
+            if not interval or f.name not in values or value is None and f.default is None:
                 continue
             lo, hi = map(float, interval[1:-1].split(","))
             if not (isinstance(value, numbers.Real)
                     and (lo <= value if interval[0] == "[" else lo < value)
                     and (value <= hi if interval[-1] == "]" else value < hi)):
-                raise ConfigurationError(f"{f.name} {value!r} outside {interval}")
+                name = f"{what}.{f.name}" if what else f.name
+                raise ConfigurationError(f"{name} {value!r} outside {interval}")
 
     def to_dict(self) -> dict:
         return {f.name: v.to_dict() if isinstance(v := getattr(self, f.name), Record) else v
@@ -200,4 +207,5 @@ class Record:
                 values[name] = f.type.from_dict(raw[name], f"{what}.{name}")
             else:
                 values[name] = typed(raw[name], f.type, f"{what}.{name}")
+        cls._check_ranges(values, what)
         return cls(**values)

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from . import model as md
 from .autodiff import IGNORE_INDEX, Tensor
-from .errors import (ConfigurationError, InputError, Record, ValidationError,
+from .errors import (ConfigurationError, InputError, NumericFault, Record, ValidationError,
                      read_json_lines, read_text, typed, within, write_text)
 from .mitigation import llrd_factors
 from .model import ModelState
@@ -761,8 +761,7 @@ def _qa_loss(hidden, params, rows) -> Tensor:
 
 def _ner_evaluate(runner, params, rows) -> PRF:
     gold, predicted = [], []
-    for chunk in runner.batches(rows):
-        logits = md.ner_logits(runner.forward(params, chunk), params).data
+    for chunk, (logits,) in runner.eval_logits(params, rows, md.ner_logits):
         picked = np.argmax(logits, axis=-1)
         for i, f in enumerate(chunk):
             tags = [runner.labels[picked[i, pos]] for pos in f.word_positions]
@@ -773,11 +772,10 @@ def _ner_evaluate(runner, params, rows) -> PRF:
 
 def _qa_evaluate(runner, params, rows) -> PRF:
     scores = []
-    for chunk in runner.batches(rows):
-        start_logits, end_logits = md.qa_logits(runner.forward(params, chunk), params)
+    for chunk, (start_logits, end_logits) in runner.eval_logits(params, rows, md.qa_logits):
         for i, f in enumerate(chunk):
             lo, hi = f.context_range
-            s, e = best_span(start_logits.data[i], end_logits.data[i],
+            s, e = best_span(start_logits[i], end_logits[i],
                              lo, hi, runner.plan.max_answer_pieces)
             text = f.norm_context[f.offsets[s - lo][0]: f.offsets[e - lo][1]]
             scores.append(qa_scores(f.gold_texts, text))
@@ -789,9 +787,8 @@ def _qa_evaluate(runner, params, rows) -> PRF:
 
 def _re_evaluate(runner, params, rows) -> PRF:
     gold, predicted = [], []
-    for chunk in runner.batches(rows):
-        picked = np.argmax(md.re_logits(runner.forward(params, chunk), params).data,
-                           axis=-1)
+    for chunk, (logits,) in runner.eval_logits(params, rows, md.re_logits):
+        picked = np.argmax(logits, axis=-1)
         for i, f in enumerate(chunk):
             gold.append(runner.labels[f.label])
             predicted.append(runner.labels[picked[i]])
@@ -859,6 +856,17 @@ class _TaskRunner:
     def batches(self, rows):
         for i in range(0, len(rows), self.plan.batch_size):
             yield rows[i: i + self.plan.batch_size]
+
+    def eval_logits(self, params, rows, head):
+        """(batch, [logit arrays]) per batch of rows: the head's outputs on
+        the encoder's, refused when any is not finite, since the argmax of a
+        NaN row scores as a prediction."""
+        for chunk in self.batches(rows):
+            out = head(self.forward(params, chunk), params)
+            arrays = [t.data for t in (out if isinstance(out, tuple) else (out,))]
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise NumericFault(f"{self.task}: non-finite evaluation logits")
+            yield chunk, arrays
 
 
 def _finetune_one_seed(runner: _TaskRunner, base_params: dict, plan: FinetunePlan,

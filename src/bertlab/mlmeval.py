@@ -13,8 +13,16 @@ positions) returning one log-probability row per masked position, which
 keeps the metrics testable against hand-built distributions.
 """
 
+import ctypes
+import functools
+import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +35,73 @@ from .tokenizer import Vocabulary, encode, normalize
 EXCLUDED_NOT_SINGLE_TOKEN = "target_is_not_a_single_vocabulary_token"
 
 
-class ModelScorer:
-    """Bound model evaluated in inference mode, chunked to bound memory."""
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when this numpy has no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")) if libs.is_dir() else []:
+        dll = ctypes.CDLL(str(lib))
+        get = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(dll, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
 
-    def __init__(self, params: dict, config: md.ModelConfig, chunk_size: int = 64):
+
+@contextmanager
+def _one_blas_thread():
+    get, set_ = _openblas()
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def _run_parallel(work, args, n_workers: int) -> list:
+    """[work(a) for a in args], the args claimed in order by the caller and
+    n_workers - 1 pool threads, all joined before this returns. An error
+    stops further claims; the caller's own is raised, else a helper's."""
+    out = [None] * len(args)
+    claim = itertools.count()  # next() on it is one step under the GIL
+    failed = threading.Event()
+
+    def worker():
+        try:
+            while not failed.is_set():
+                k = next(claim)
+                if k >= len(args):
+                    return
+                out[k] = work(args[k])
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(n_workers - 1) as pool:
+        helpers = [pool.submit(worker) for _ in range(n_workers - 1)]
+        worker()
+    for helper in helpers:
+        helper.result()
+    return out
+
+
+class ModelScorer:
+    """Bound model evaluated in inference mode.
+
+    The encoder runs over chunks of at most chunk_size rows, on one worker
+    per CPU this process may run on (the caller plus pool threads), with
+    OpenBLAS held to one thread while they run; without numpy's bundled
+    OpenBLAS one worker does it all. The MLM head then decodes every scored
+    row of the call at once, so the log-probabilities depend on neither the
+    chunk size nor the worker count. The thread count and `no_grad` are
+    process-wide, so one call runs at a time.
+    """
+
+    def __init__(self, params: dict, config: md.ModelConfig, chunk_size: int = 16):
         self.params = params
         self.config = config
         self.chunk_size = chunk_size
@@ -49,21 +120,30 @@ class ModelScorer:
         outside = positions[(positions < 0) | (positions >= length)]
         if outside.size:
             raise ConfigurationError(f"position {int(outside[0])} outside [0, {length})")
-        rows = []
+
+        def encode(lo):
+            # the hidden state of the one scored row of each sequence
+            hi = lo + self.chunk_size
+            ids = input_ids[lo:hi]
+            hidden = md.forward_encoder(self.params, self.config, ids,
+                                        np.zeros_like(ids), attention_mask[lo:hi])
+            flat = np.arange(len(ids)) * length + positions[lo:hi]
+            return md.gather_rows(hidden, flat).data
+
+        starts = range(0, len(input_ids), self.chunk_size)
+        n_workers = min(len(os.sched_getaffinity(0)), len(starts))
         with ad.no_grad():
-            for lo in range(0, len(input_ids), self.chunk_size):
-                hi = lo + self.chunk_size
-                ids = input_ids[lo:hi]
-                hidden = md.forward_encoder(
-                    self.params, self.config, ids,
-                    np.zeros_like(ids), attention_mask[lo:hi])
-                # the head decodes only the one scored row of each sequence
-                flat = np.arange(len(ids)) * length + positions[lo:hi]
-                logits = md.mlm_logits(md.gather_rows(hidden, flat), self.params, self.config)
-                picked = logits.data.astype(np.float64)
-                shifted = picked - picked.max(axis=-1, keepdims=True)
-                rows.append(shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True)))
-        return np.concatenate(rows, axis=0)
+            if n_workers > 1 and _openblas() is not None:
+                with _one_blas_thread():
+                    parts = _run_parallel(encode, starts, n_workers)
+            else:
+                parts = [encode(lo) for lo in starts]
+            rows = np.concatenate(parts)
+            with ad.precision(rows.dtype):  # a Tensor takes the default dtype
+                logits = md.mlm_logits(ad.Tensor(rows), self.params, self.config)
+        picked = logits.data.astype(np.float64)
+        shifted = picked - picked.max(axis=-1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def _check_log_probs(lp: np.ndarray) -> None:

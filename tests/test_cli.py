@@ -312,6 +312,30 @@ def test_out_of_range_setting_fails_before_the_run(pipeline, tmp_path, capsys,
     assert not (out / "checkpoint.ckpt").exists() and not (out / "checkpoints").exists()
 
 
+@pytest.mark.parametrize("command", ["pretrain", "adapt"])
+def test_range_error_names_its_section(pipeline, tmp_path, capsys, command):
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["adapt"] = {"corpus": pipeline["corpus"], **ADAPT_SECTION}
+    cfg["pretrain"]["adam_beta2"] = cfg["adapt"]["adam_beta2"] = 1.0
+    flags = ["--parent", pipeline["base_ckpt"]] if command == "adapt" else []
+    assert entrypoint([command, "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(tmp_path / "out")] + flags) == 3
+    assert f"{command}.adam_beta2 1.0 outside [0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_evaluation_is_a_numeric_fault(pipeline, tmp_path, capsys):
+    # the dev argmax of NaN logits once scored as predictions: exit 0, f1 1.0
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["tasks"] = {"re": {"data": write_re(tmp_path / "re.jsonl")}}
+    cfg["finetune"] = {"epochs": 1, "seeds": [1], "max_seq_len": 32, "lr": 1e30}
+    out = tmp_path / "out"
+    assert entrypoint(["finetune", "--config", save_config(tmp_path / "c.json", cfg),
+                       "--out", str(out), "--checkpoint", pipeline["adapted_ckpt"]]) == 4
+    assert "re: non-finite evaluation logits" in capsys.readouterr().err
+    assert not (out / "report.re.txt").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("seed", "3"), ("seed", 3.0), ("seed", True),
     ("tokenizer.vocab_size", "60"), ("tokenizer.vocab_size", 60.0),

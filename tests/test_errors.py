@@ -219,6 +219,15 @@ def test_record_from_dict_rejects_with_section_and_key(raw, message):
         pt.TrainPlan.from_dict(raw, "plan")
 
 
+def test_range_error_names_the_section_it_was_read_from():
+    with pytest.raises(ConfigurationError, match=r"^adapt\.adam_beta2 1\.0 outside \[0, 1\)$"):
+        pt.TrainPlan.from_dict({**PLAN, "adam_beta2": 1.0}, "adapt")
+    with pytest.raises(ConfigurationError, match=r"^plan\.cf\.mixout_p 1\.5 outside"):
+        pt.TrainPlan.from_dict({**PLAN, "cf": {"mixout_p": 1.5}}, "plan")
+    with pytest.raises(ConfigurationError, match=r"^adam_beta2 1\.0 outside"):
+        pt.TrainPlan(**{**PLAN, "adam_beta2": 1.0})
+
+
 def test_record_values_pass_unconverted():
     plan = pt.TrainPlan.from_dict({**PLAN, "peak_lr": 1, "cf": {"mixout_p": 0}}, "plan")
     assert type(plan.peak_lr) is int and type(plan.cf.mixout_p) is int

@@ -3,6 +3,8 @@ masked-set loading."""
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -173,7 +175,134 @@ def test_model_scorer_decodes_one_row_per_sequence(vocab, monkeypatch):
         return full(hidden, params, config)
     monkeypatch.setattr(md, "mlm_logits", counting)
     scorer(*scored_rows(vocab, n=7))
-    assert rows == [(3, 32), (3, 32), (1, 32)]
+    assert rows == [(7, 32)]   # every chunk's scored row, in one call
+
+
+OPENBLAS = ev._openblas()   # read before any test patches it away
+
+
+def blas_threads():
+    return OPENBLAS[0]() if OPENBLAS else None
+
+
+@pytest.fixture
+def outer_blas():
+    """OpenBLAS at two threads around the test, so that pinning one shows
+    (None without the thread controls)."""
+    if OPENBLAS is None:
+        yield None
+        return
+    get, set_ = OPENBLAS
+    old = get()
+    set_(2)
+    yield 2
+    set_(old)
+
+
+@pytest.fixture(params=["one-worker", "two-workers", "no-openblas"])
+def workers(request, monkeypatch):
+    """The scorer's worker count: one CPU, two CPUs, or two CPUs without
+    the OpenBLAS thread controls (one worker again)."""
+    monkeypatch.setattr(ev.os, "sched_getaffinity",
+                        lambda pid: {0} if request.param == "one-worker" else {0, 1})
+    if request.param == "no-openblas":
+        monkeypatch.setattr(ev, "_openblas", lambda: None)
+    return request.param
+
+
+def padded_rows(vocab, n=23, length=9):
+    ids, mask, positions = scored_rows(vocab, n, length)
+    mask[1::4, -3:] = 0
+    ids[mask == 0] = vocab.pad_id
+    positions = np.minimum(positions, length - 4)
+    return ids, mask, positions
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_model_scorer_bits_depend_on_neither_chunk_size_nor_workers(
+        outer_blas, vocab, workers, monkeypatch, dtype):
+    with ad.precision(dtype):
+        ids, mask, positions = padded_rows(vocab)
+        reference_scorer = real_scorer(vocab)
+        with ad.no_grad():   # one sequential chunk
+            hidden = md.forward_encoder(reference_scorer.params, reference_scorer.config,
+                                        ids, np.zeros_like(ids), mask)
+            flat = np.arange(len(ids)) * ids.shape[1] + positions
+            logits = md.mlm_logits(md.gather_rows(hidden, flat), reference_scorer.params,
+                                   reference_scorer.config).data.astype(np.float64)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        expected = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+        seen = []
+        full = md.forward_encoder
+
+        def recording(*args, **kwargs):
+            seen.append(blas_threads())
+            return full(*args, **kwargs)
+        monkeypatch.setattr(md, "forward_encoder", recording)
+        for chunk_size in (1, 3, 7, 16, len(ids), 64):
+            seen.clear()
+            got = real_scorer(vocab, chunk_size=chunk_size)(ids, mask, positions)
+            assert got.dtype == np.float64 and got.tobytes() == expected.tobytes(), chunk_size
+            # one OpenBLAS thread only while two workers share the chunks
+            shared = workers == "two-workers" and chunk_size < len(ids) and outer_blas
+            assert set(seen) == ({1} if shared else {outer_blas})
+            assert blas_threads() == outer_blas
+
+
+def test_model_scorer_encodes_each_chunk_once_under_thread_switching(vocab, monkeypatch):
+    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: set(range(8)))
+    ids, mask, positions = padded_rows(vocab)
+    expected = real_scorer(vocab, chunk_size=len(ids))(ids, mask, positions)
+    calls, full = [], md.forward_encoder
+
+    def counting(params, config, input_ids, *rest):
+        calls.append(input_ids.tobytes())
+        return full(params, config, input_ids, *rest)
+    monkeypatch.setattr(md, "forward_encoder", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            got = real_scorer(vocab, chunk_size=1)(ids, mask, positions)
+            assert got.tobytes() == expected.tobytes()
+            assert sorted(calls) == sorted(row.tobytes() for row in ids)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("where", ["any-worker", "helper"])
+def test_model_scorer_error_in_a_chunk_reaches_the_caller_and_cleans_up(
+        outer_blas, vocab, monkeypatch, where):
+    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: {0, 1})
+    scorer = real_scorer(vocab, chunk_size=2)
+    ids, mask, positions = padded_rows(vocab)
+    threads = threading.active_count()
+    full, helper_done = md.forward_encoder, threading.Event()
+
+    def faulty(params, config, input_ids, *rest):
+        bad = input_ids.copy()
+        bad[0, 0] = config.vocab_size
+        if where == "any-worker":
+            return full(params, config, bad, *rest)
+        if threading.current_thread() is threading.main_thread():
+            helper_done.wait(timeout=30)   # the caller's own chunks succeed
+            return full(params, config, input_ids, *rest)
+        try:
+            return full(params, config, bad, *rest)
+        finally:
+            helper_done.set()
+    monkeypatch.setattr(md, "forward_encoder", faulty)
+    with pytest.raises(ConfigurationError, match=f"token id {len(vocab)} out of range"):
+        scorer(ids, mask, positions)
+    assert where == "any-worker" or helper_done.is_set()
+    assert ad._GRAD_ENABLED is True
+    assert blas_threads() == outer_blas
+    assert threading.active_count() == threads
+    monkeypatch.setattr(md, "forward_encoder", full)
+    assert scorer(ids, mask, positions).shape == (len(ids), len(vocab))
+    assert ad._GRAD_ENABLED is True and threading.active_count() == threads
 
 
 @pytest.mark.parametrize("case", ["2-d", "short", "long", "minus-one", "past-end",
