@@ -21,9 +21,25 @@ bit-reproducible given a seed.
 
 GELU runs in cache-sized blocks for both dtypes: float32 evaluates its own
 erf, within 3 ulp of scipy's float32 erf; float64 keeps scipy's erf.
+
+linear, attention, add_norm, layer_norm, gelu and dropout run their
+forward and backward work as slices along the first axis (GELU in its
+blocks): one slice of all the rows, or, for large work inside a `workers`
+context, one slice per worker thread. Each slice runs the same numpy
+expressions on its rows, dropout masks are drawn in pieces from copies of
+the rng, and reductions over rows (weight, bias and gain gradients) and
+gradient accumulation stay sequential in the caller, so the bits do not
+depend on the worker count.
 """
 
+import ctypes
+import functools
+import itertools
+import os
+import queue
+import threading
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
@@ -69,6 +85,171 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = old
+
+
+# ---------------------------------------------------------------------------
+# worker threads
+# ---------------------------------------------------------------------------
+
+_SPLIT_MIN = 1 << 17   # elements: smaller work runs whole, in the calling thread
+_POOL = None           # the helper threads of the open `workers` context
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when this numpy has no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")) if libs.is_dir() else []:
+        dll = ctypes.CDLL(str(lib))
+        get = getattr(dll, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(dll, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            return get, set_
+    return None
+
+
+class _Pool:
+    """Up to n_helpers helper threads that run the jobs put on their queue.
+    They start at the first share that splits, and from then until close
+    OpenBLAS is held to one thread (a second BLAS thread, spinning between
+    calls, would take a helper's CPU)."""
+
+    def __init__(self, n_helpers: int):
+        self.n_helpers = n_helpers
+        self.jobs = queue.SimpleQueue()
+        self.busy = False   # a share is running: calls from its work run whole
+        self.helpers = []
+        self.blas_threads = None   # OpenBLAS's thread count before the start
+
+    def start(self):
+        if self.helpers:
+            return
+        get, set_ = _openblas()
+        self.blas_threads = get()
+        set_(1)
+        for _ in range(self.n_helpers):
+            helper = threading.Thread(target=self._serve, daemon=True)
+            helper.start()
+            self.helpers.append(helper)
+
+    def _serve(self):
+        for job in iter(self.jobs.get, None):
+            job()
+
+    def close(self):
+        for _ in self.helpers:
+            self.jobs.put(None)
+        for helper in self.helpers:
+            helper.join()
+        if self.blas_threads is not None:
+            _openblas()[1](self.blas_threads)
+
+
+@contextmanager
+def workers(rows: int):
+    """Worker threads for the work of rows independent rows inside the block:
+    min(CPUs, rows) - 1 helpers beside the caller, started by the first
+    `share` that splits; on exit all are joined and OpenBLAS's thread count
+    restored, so work that never reaches _SPLIT_MIN starts no thread and
+    leaves OpenBLAS alone. Inside an open context this one adds none; with
+    one worker, or without the thread controls of numpy's bundled OpenBLAS,
+    everything runs in the caller. The pool is process-wide, so one context
+    runs at a time."""
+    global _POOL
+    n_helpers = min(_cpu_count(), rows) - 1
+    if _POOL is not None or n_helpers < 1 or _openblas() is None:
+        yield
+        return
+    _POOL = _Pool(n_helpers)
+    try:
+        yield
+    finally:
+        pool, _POOL = _POOL, None
+        pool.close()
+
+
+def row_slices(rows: int, size: int, *arrays) -> list:
+    """Slices of range(rows) for `share`: one per worker when a `workers`
+    context is open, no share is running, the work covers at least
+    _SPLIT_MIN elements (size) and the arrays agree in dtype; else one
+    slice of all the rows."""
+    pool = _POOL
+    if (pool is None or pool.busy or size < _SPLIT_MIN or rows < 2
+            or len({a.dtype for a in arrays}) > 1):
+        return [slice(0, rows)]
+    n = min(rows, pool.n_helpers + 1)
+    bounds = [rows * i // n for i in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def share(work, args) -> list:
+    """[work(a) for a in args]. Inside a `workers` context, with two or more
+    args and no share running, the args are claimed in order by the caller
+    and the helpers, and all finish before this returns; work called from
+    there runs whole. An error stops further claims; the caller's own is
+    raised, else a helper's."""
+    pool = _POOL
+    if pool is None or pool.busy or len(args) < 2:
+        return [work(a) for a in args]
+    out = [None] * len(args)
+    claim = itertools.count()  # next() on it is one step under the GIL
+    failed = threading.Event()
+    pool.start()
+    n_helpers, finished = min(pool.n_helpers, len(args) - 1), queue.SimpleQueue()
+
+    def run():
+        try:
+            while not failed.is_set():
+                k = next(claim)
+                if k >= len(args):
+                    return
+                out[k] = work(args[k])
+        except BaseException:
+            failed.set()
+            raise
+
+    def helper():
+        error = None
+        try:
+            run()
+        except BaseException as exc:
+            error = exc
+        finished.put(error)
+
+    pool.busy = True
+    try:
+        for _ in range(n_helpers):
+            pool.jobs.put(helper)
+        try:
+            run()
+        finally:
+            errors = [e for e in (finished.get() for _ in range(n_helpers)) if e is not None]
+    finally:
+        pool.busy = False
+    if errors:
+        raise errors[0]
+    return out
+
+
+def _in_pieces(pieces, kernel, shapes, dtype) -> tuple:
+    """The output arrays of kernel(s, outs), which computes them for the rows
+    s of its inputs, into outs when they are arrays. With one piece, outs
+    are None and the kernel allocates its outputs, as whole-array numpy code
+    does; with more, outputs of the given shapes are allocated here and each
+    piece writes its rows of them, through `share`."""
+    if len(pieces) == 1:
+        return tuple(kernel(pieces[0], (None,) * len(shapes)))
+    outs = tuple(np.empty(shape, dtype) for shape in shapes)
+    share(lambda s: kernel(s, tuple(o[s] for o in outs)), pieces)
+    return outs
 
 
 class Tensor:
@@ -249,10 +430,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _matmul_back(g, a, b):
-    """Gradients of a @ b for arrays a and b, summed back to their shapes."""
-    ga = np.matmul(g, np.swapaxes(b, -1, -2))
-    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    """Gradients of a @ b for arrays a and b, summed back to their shapes.
+    A linear's (b 2-d, a with g's batch shape) may run in slices of the
+    batch axis, each writing its rows of both products; b's is summed over
+    the batch here."""
+    linear_like = b.ndim == 2 and a.shape[:-2] == g.shape[:-2]
+
+    def products(s, outs):
+        return (np.matmul(g[s], np.swapaxes(b, -1, -2), out=outs[0]),
+                np.matmul(np.swapaxes(a[s], -1, -2), g[s], out=outs[1]))
+    ga, gb = _in_pieces(_batch_slices(g, g.size, a, b) if linear_like else [...], products,
+                        [a.shape, g.shape[:-2] + b.shape], g.dtype)
     return _sum_to_shape(ga, a.shape), _sum_to_shape(gb, b.shape)
+
+
+def _batch_slices(x: np.ndarray, size: int, *arrays) -> list:
+    """row_slices over the first axis of x when it has three or more axes;
+    else [...], which selects all of x."""
+    return row_slices(len(x), size, x, *arrays) if x.ndim > 2 else [...]
+
+
+def _affine(x, w, b, out=None):
+    """x @ w + b for arrays, into out when given."""
+    out = np.matmul(x, w, out=out)
+    out += b
+    return out
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -261,8 +463,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if (w.data.ndim != 2 or x.data.ndim < 1 or x.shape[-1] != w.shape[0]
             or b.shape != w.shape[1:]):
         raise DimensionError("linear", x.shape, w.shape, b.shape)
-    out = np.matmul(x.data, w.data)
-    out += b.data
+    (out,) = _in_pieces(_batch_slices(x.data, x.data.size, w.data, b.data),
+                        lambda s, outs: [_affine(x.data[s], w.data, b.data, *outs)],
+                        [x.shape[:-1] + w.shape[1:]], x.data.dtype)
 
     def back(g):
         _linear_back(g, x, w, b)
@@ -353,7 +556,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     """Normalize over the last axis (biased variance), then apply gain and bias."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     _check_norm("layer_norm", x, gain, bias, eps)
-    out, xhat, inv_std = _normalize(x.data, gain, bias, eps)
+    out, xhat, inv_std = _normalize(x.data, None, gain.data, bias.data, eps)
 
     def back(g):
         _accumulate(x, _normalize_back(g, xhat, inv_std, gain, bias))
@@ -366,7 +569,7 @@ def add_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-1
     if x.shape != y.shape:
         raise DimensionError("add_norm", x.shape, y.shape)
     _check_norm("add_norm", x, gain, bias, eps)
-    out, xhat, inv_std = _normalize(x.data + y.data, gain, bias, eps)
+    out, xhat, inv_std = _normalize(x.data, y.data, gain.data, bias.data, eps)
 
     def back(g):
         gs = _normalize_back(g, xhat, inv_std, gain, bias)
@@ -383,25 +586,46 @@ def _check_norm(op, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> None:
         raise DimensionError(op, x.shape, gain.shape, bias.shape)
 
 
-def _normalize(x: np.ndarray, gain: Tensor, bias: Tensor, eps: float):
-    """(output, normalized x, 1 / std) of a layer norm over the last axis."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    return xhat * gain.data + bias.data, xhat, inv_std
+def _normalize(x, y, gain, bias, eps: float):
+    """(output, normalized input, 1 / std) of a layer norm over the last axis
+    of the array x + y (x when y is None), row by row."""
+    def rows(s, outs):
+        out, xhat, inv_std = outs
+        r = x[s] if y is None else x[s] + y[s]
+        xhat = np.subtract(r, r.mean(axis=-1, keepdims=True), out=xhat)
+        var = (xhat * xhat).mean(axis=-1, keepdims=True)
+        inv_std = np.divide(1.0, np.sqrt(var + eps), out=inv_std)
+        xhat *= inv_std
+        out = np.multiply(xhat, gain, out=out)
+        out += bias
+        return out, xhat, inv_std
+    return _in_pieces(_batch_slices(x, x.size, gain, bias, *(() if y is None else (y,))),
+                      rows, [x.shape, x.shape, x.shape[:-1] + (1,)], x.dtype)
 
 
 def _normalize_back(g, xhat, inv_std, gain: Tensor, bias: Tensor) -> np.ndarray:
     """Accumulate the gain and bias gradients; return the input's gradient."""
     h = xhat.shape[-1]
-    _accumulate(gain, (g * xhat).reshape(-1, h).sum(axis=0))
+
+    def rows(s, outs):
+        return (np.multiply(g[s], xhat[s], out=outs[0]),
+                _normalize_back_rows(g[s], xhat[s], inv_std[s], gain.data, outs[1]))
+    g_xhat, gx = _in_pieces(_batch_slices(g, g.size, xhat, gain.data), rows,
+                            [g.shape, g.shape], g.dtype)
+    _accumulate(gain, g_xhat.reshape(-1, h).sum(axis=0))
     _accumulate(bias, g.reshape(-1, h).sum(axis=0))
-    dxhat = g * gain.data
+    return gx
+
+
+def _normalize_back_rows(g, xhat, inv_std, gain, out=None) -> np.ndarray:
+    """inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)), for
+    dxhat = g * gain, into out when given."""
+    dxhat = g * gain
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    return inv_std * (dxhat - m1 - xhat * m2)
+    dxhat -= m1
+    dxhat -= xhat * m2
+    return np.multiply(inv_std, dxhat, out=out)
 
 
 def gelu(t: Tensor) -> Tensor:
@@ -455,6 +679,13 @@ def _neg_erf64(x: np.ndarray, out: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.negative(erf(x, out=out), out=out)
 
 
+def _block_ranges(size: int) -> list:
+    """(lo, hi) element ranges of whole _BLOCKs covering range(size), one per
+    worker when the blocks are shared out."""
+    return [(s.start * _BLOCK, min(s.stop * _BLOCK, size))
+            for s in row_slices(-(-size // _BLOCK), size)]
+
+
 def _gelu_blocks(x: np.ndarray, keep_cdf: bool):
     """(gelu(x), cdf or None) of a float32 or float64 array, block by block;
     both C-contiguous, in x's dtype."""
@@ -463,18 +694,22 @@ def _gelu_blocks(x: np.ndarray, keep_cdf: bool):
     cdf = np.empty(x.shape, x.dtype) if keep_cdf else None
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     flat_cdf = cdf.reshape(-1) if keep_cdf else None
-    scratch = np.empty((3, min(flat_x.size, _BLOCK)), x.dtype)
-    with np.errstate(over="ignore"):
-        for i in range(0, flat_x.size, _BLOCK):
-            xb = flat_x[i:i + _BLOCK]
-            u, t, c = scratch[:, :xb.size]
-            if keep_cdf:
-                c = flat_cdf[i:i + _BLOCK]
-            np.multiply(xb, _INV_SQRT2, out=u)
-            neg_erf(u, c, t)
-            np.subtract(1.0, c, out=c)  # 1 + erf, bit for bit
-            c *= 0.5
-            np.multiply(xb, c, out=flat_out[i:i + _BLOCK])
+
+    def blocks(lo_hi):
+        lo, hi = lo_hi
+        scratch = np.empty((3, min(hi - lo, _BLOCK)), x.dtype)
+        with np.errstate(over="ignore"):
+            for i in range(lo, hi, _BLOCK):
+                xb = flat_x[i:i + _BLOCK]
+                u, t, c = scratch[:, :xb.size]
+                if keep_cdf:
+                    c = flat_cdf[i:i + _BLOCK]
+                np.multiply(xb, _INV_SQRT2, out=u)
+                neg_erf(u, c, t)
+                np.subtract(1.0, c, out=c)  # 1 + erf, bit for bit
+                c *= 0.5
+                np.multiply(xb, c, out=flat_out[i:i + _BLOCK])
+    share(blocks, _block_ranges(flat_x.size))
     return out, cdf
 
 
@@ -484,17 +719,21 @@ def _gelu_back(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     expression g * (cdf + x * (exp(-0.5 * x * x) / sqrt(2 pi)))."""
     grad = np.empty(x.shape, x.dtype)
     flat_g, flat_x, flat_cdf, flat_grad = (a.reshape(-1) for a in (g, x, cdf, grad))
-    pdf = np.empty(min(flat_x.size, _BLOCK), x.dtype)
-    for i in range(0, flat_x.size, _BLOCK):
-        xb = flat_x[i:i + _BLOCK]
-        p = pdf[:xb.size]
-        np.multiply(xb, -0.5, out=p)
-        p *= xb
-        np.exp(p, out=p)
-        p *= _INV_SQRT_2PI
-        p *= xb
-        p += flat_cdf[i:i + _BLOCK]
-        np.multiply(flat_g[i:i + _BLOCK], p, out=flat_grad[i:i + _BLOCK])
+
+    def blocks(lo_hi):
+        lo, hi = lo_hi
+        pdf = np.empty(min(hi - lo, _BLOCK), x.dtype)
+        for i in range(lo, hi, _BLOCK):
+            xb = flat_x[i:i + _BLOCK]
+            p = pdf[:xb.size]
+            np.multiply(xb, -0.5, out=p)
+            p *= xb
+            np.exp(p, out=p)
+            p *= _INV_SQRT_2PI
+            p *= xb
+            p += flat_cdf[i:i + _BLOCK]
+            np.multiply(flat_g[i:i + _BLOCK], p, out=flat_grad[i:i + _BLOCK])
+    share(blocks, _block_ranges(flat_x.size))
     return grad
 
 
@@ -510,11 +749,7 @@ def tanh(t: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of table selected by an integer id array of any shape."""
     table = _as_tensor(table)
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise DimensionError("embedding_lookup", table.shape, ids.shape)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise DimensionError("embedding_lookup", table.shape, (int(ids.min()), int(ids.max())))
+    ids = _checked_ids("embedding_lookup", table, ids)
 
     def back(g):
         if table.requires_grad:
@@ -524,27 +759,151 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return _node(table.data[ids], (table,), back)
 
 
+def _checked_ids(op, table: Tensor, ids) -> np.ndarray:
+    """ids as an integer array of rows of table."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise DimensionError(op, table.shape, ids.shape)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise DimensionError(op, table.shape, (int(ids.min()), int(ids.max())))
+    return ids
+
+
+# The three lookups below give embedding_lookup's values and, on a table no
+# other op has reached yet, the bits of its np.add.at gradient: that adds
+# each row's contributions in order into a zeroed row, so it ends at 0.0 + s
+# for s their in-order sum (never -0.0).
+
+
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """The sum of a over its first axis, added in order: np.add.reduce may
+    add in pairs, which changes the bits."""
+    return np.add.accumulate(a, axis=0)[-1] if len(a) else np.zeros(a.shape[1:], a.dtype)
+
+
+def position_lookup(table: Tensor, n: int, length: int) -> Tensor:
+    """(n, length, H): rows 0 .. length - 1 of table for each of n sequences.
+    The gradient is the sum of g over the sequences, added into the rows."""
+    table = _as_tensor(table)
+    if not 0 <= length <= table.shape[0]:
+        raise DimensionError("position_lookup", table.shape, (n, length))
+
+    def back(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        table.grad[:length] += _ordered_sum(g)
+    return _node(np.repeat(table.data[None, :length], n, axis=0), (table,), back)
+
+
+def segment_lookup(table: Tensor, ids) -> Tensor:
+    """embedding_lookup for a table of a few rows (segment types): a row's
+    gradient is the sum of g over the positions that use it, in order, one
+    pass over g per row used."""
+    table = _as_tensor(table)
+    ids = _checked_ids("segment_lookup", table, ids)
+    flat_ids = ids.reshape(-1)
+
+    def back(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        flat = g.reshape(flat_ids.shape + table.shape[1:])
+        for row in np.unique(flat_ids):
+            table.grad[row] += _ordered_sum(flat[flat_ids == row])
+    return _node(table.data[ids], (table,), back)
+
+
+def take_rows(t: Tensor, rows) -> Tensor:
+    """(N, H): the rows of a 2-d t at N distinct indices. The gradient is
+    written into the rows, as 0.0 + g when none reached t before."""
+    t = _as_tensor(t)
+    rows = np.asarray(rows)
+    if (t.data.ndim != 2 or rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or np.unique(rows).size != rows.size):
+        raise DimensionError("take_rows", t.shape, rows.shape)
+    if rows.size and (rows.min() < 0 or rows.max() >= len(t.data)):
+        raise DimensionError("take_rows", t.shape, (int(rows.min()), int(rows.max())))
+
+    def back(g):
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad[rows] += g
+    return _node(t.data[rows], (t,), back)
+
+
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; identity (and no rng draw) when rate is 0."""
     if rate == 0.0:
         return t
     t = _as_tensor(t)
-    mask = _dropout_mask(t.shape, rate, rng, t.data.dtype)
+    _check_dropout(rate, rng)
+    x = t.data
+    pieces = row_slices(len(x), x.size, x) if x.ndim else [...]
+    mask, fill = _mask_in_pieces(pieces, x.shape, rate, rng, x.dtype)
+
+    def keep(s, outs):
+        fill(s)
+        return [np.multiply(x[s], mask[s], out=outs[0])]
+    (out,) = _in_pieces(pieces, keep, [x.shape], x.dtype)
 
     def back(g):
-        _accumulate(t, g * mask)
-    return _node(t.data * mask, (t,), back)
+        (grad,) = _in_pieces(row_slices(len(g), g.size, g, mask) if g.ndim else [...],
+                             lambda s, outs: [np.multiply(g[s], mask[s], out=outs[0])],
+                             [g.shape], g.dtype)
+        _accumulate(t, grad)
+    return _node(out, (t,), back)
+
+
+def _check_dropout(rate, rng) -> None:
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate {rate} outside [0, 1)")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"dropout at rate {rate} needs an rng, a numpy Generator; "
+                         f"got {type(rng).__name__}")
 
 
 def _dropout_mask(shape, rate, rng, dtype):
     """keep / (1 - rate): a 1/0 keep mask drawn from rng, rescaled. Applying
     it is one multiply with the bits of keeping and rescaling apart, since
     keep is exactly 0 or 1."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate {rate} outside [0, 1)")
     mask = (rng.random(shape) >= rate).astype(dtype)
     mask *= 1.0 / (1.0 - rate)
     return mask
+
+
+def _mask_in_pieces(pieces, shape, rate, rng, dtype):
+    """(mask, fill): the mask for work in pieces, each filling its own rows
+    (_split_mask), or drawn here whole, with a fill that does nothing, when
+    there is one piece."""
+    if len(pieces) > 1:
+        return _split_mask(shape, rate, rng, dtype)
+    return _dropout_mask(shape, rate, rng, dtype), lambda s: None
+
+
+def _split_mask(shape, rate, rng, dtype):
+    """(mask, fill): an empty _dropout_mask and fill(s), which writes its rows
+    s with the values _dropout_mask draws, from a copy of rng's PCG64 moved
+    to their first draw with advance(). rng is left where that one draw
+    leaves it. Other bit generators draw the whole mask here, and fill does
+    nothing."""
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        return _dropout_mask(shape, rate, rng, dtype), lambda s: None
+    mask = np.empty(shape, dtype)
+    row = mask[:1].size
+    start = bg.state
+    end = bg.advance(mask.size).state
+    # random() draws whole 64-bit words; advance() drops a buffered half word
+    end["has_uint32"], end["uinteger"] = start["has_uint32"], start["uinteger"]
+    bg.state = end
+
+    def fill(s):
+        copy = np.random.PCG64()
+        copy.state = start
+        draws = np.random.Generator(copy.advance(int(s.start) * row)).random(mask[s].shape)
+        rows = mask[s]
+        rows[...] = draws >= rate
+        rows *= 1.0 / (1.0 - rate)
+    return mask, fill
 
 
 def mixout(ts, ref: np.ndarray, mask: np.ndarray, p: float) -> list:
@@ -589,41 +948,76 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     scores_shape = (b, n_heads, length, length)
     if np.broadcast_shapes(scores_shape, mask_bias.shape) != scores_shape:
         raise DimensionError("attention", scores_shape, mask_bias.shape)
+    if rate:
+        _check_dropout(rate, rng)
     dh = h // n_heads
     scale = float(1.0 / np.sqrt(dh))
+    dtype = x.data.dtype
+    projections = ((wv, bv), (wk, bk), (wq, bq))  # the order the backward accumulates x in
+    arrays = [x.data, mask_bias] + [t.data for w_b in projections for t in w_b]
 
-    def split_heads(w, bias):  # (B, L, H) -> (B, nh, L, dh), a view
-        y = np.matmul(x.data, w.data)
-        y += bias.data
-        return np.transpose(y.reshape(b, length, n_heads, dh), (0, 2, 1, 3))
+    def heads(y):  # (n, L, H) -> (n, nh, L, dh), a view
+        return np.transpose(y.reshape(len(y), length, n_heads, dh), (0, 2, 1, 3))
 
-    def merge_heads(gh):  # (B, nh, L, dh) -> C-contiguous (B, L, H)
-        return np.ascontiguousarray(np.transpose(gh, (0, 2, 1, 3))).reshape(b, length, h)
+    def merge_heads(gh, out):  # (n, nh, L, dh) -> C-contiguous (n, L, H), into out if given
+        if out is None:
+            out = np.empty((len(gh), length, h), gh.dtype)
+        out.reshape(len(gh), length, n_heads, dh)[...] = np.transpose(gh, (0, 2, 1, 3))
+        return out
 
-    qh, kh, vh = split_heads(wq, bq), split_heads(wk, bk), split_heads(wv, bv)
-    kt = np.transpose(kh, (0, 1, 3, 2))
-    probs = np.matmul(qh, kt)
-    probs *= scale
-    probs += mask_bias
-    _softmax(probs, -1, out=probs)
+    def batch_rows(a, s):  # rows s of an array that may broadcast over the batch
+        return a[s] if a.ndim == 4 and len(a) == b else a
+
+    # the forward and backward run along the batch axis, whole or in slices
+    pieces = row_slices(b, b * n_heads * length * length, *arrays)
     if rate:
-        mask = _dropout_mask(probs.shape, rate, rng, probs.dtype)
-        dropped = probs * mask
-    else:
+        mask, fill = _mask_in_pieces(pieces, scores_shape, rate, rng, dtype)
+
+    def forward(s, outs):
+        v, k, q, p, d, o = outs
+        v, k, q = (_affine(x.data[s], w.data, bias.data, y)
+                   for y, (w, bias) in zip((v, k, q), projections))
+        p = np.matmul(heads(q), np.transpose(heads(k), (0, 1, 3, 2)), out=p)
+        p *= scale
+        p += batch_rows(mask_bias, s)
+        _softmax(p, -1, out=p)
+        if rate:
+            fill(s)
+            d = np.multiply(p, mask[s], out=d)
+        else:
+            d = p
+        return v, k, q, p, d, merge_heads(np.matmul(d, heads(v)), o)
+    v, k, q, probs, dropped, out = _in_pieces(
+        pieces, forward, [(b, length, h)] * 3 + [scores_shape] * 2 + [(b, length, h)], dtype)
+    if not rate:
         dropped = probs
-    out = np.transpose(np.matmul(dropped, vh), (0, 2, 1, 3)).reshape(b, length, h)
+    qh, vh = heads(q), heads(v)
+    kt = np.transpose(heads(k), (0, 1, 3, 2))
 
     def back(g):
-        g_ctx = np.ascontiguousarray(np.transpose(g.reshape(b, length, n_heads, dh), (0, 2, 1, 3)))
-        g_dropped, g_vh = _matmul_back(g_ctx, dropped, vh)
-        g_probs = g_dropped * mask if rate else g_dropped
-        g_scores = _softmax_back(g_probs, probs, -1)
-        g_scores *= scale
-        g_qh, g_kt = _matmul_back(g_scores, qh, kt)
+        def backward(s, outs):
+            g_ctx = np.ascontiguousarray(heads(g[s]))
+            g_dropped, g_vh = _matmul_back(g_ctx, dropped[s], vh[s])
+            g_probs = g_dropped * mask[s] if rate else g_dropped
+            g_scores = _softmax_back(g_probs, probs[s], -1)
+            g_scores *= scale
+            g_qh, g_kt = _matmul_back(g_scores, qh[s], kt[s])
+            # each projection's linear backward on these rows: values, keys, queries:
+            # (merged head gradient, x's gradient, the weight's per-row products)
+            grads = []
+            for gh, (w, _), (m, gx, gw) in zip((g_vh, np.swapaxes(g_kt, -1, -2), g_qh),
+                                               projections, zip(*[iter(outs)] * 3)):
+                m = merge_heads(gh, m)
+                grads += [m, np.matmul(m, w.data.T, out=gx),
+                          np.matmul(np.swapaxes(x.data[s], -1, -2), m, out=gw)]
+            return grads
+        grads = _in_pieces(row_slices(b, probs.size, g, *arrays), backward,
+                           [(b, length, h), (b, length, h), (b, h, h)] * 3, dtype)
         # into x as the unfused graph accumulates it: values, keys, queries
-        _linear_back(merge_heads(g_vh), x, wv, bv)
-        _linear_back(merge_heads(np.swapaxes(g_kt, -1, -2)), x, wk, bk)
-        _linear_back(merge_heads(g_qh), x, wq, bq)
+        for (m, gx_i, gw_i), (w, bias) in zip(zip(*[iter(grads)] * 3), projections):
+            _accumulate(bias, m.reshape(-1, h).sum(axis=0))
+            _accumulate(x, gx_i)
+            _accumulate(w, _sum_to_shape(gw_i, w.shape))
     return _node(out, (x, wq, bq, wk, bk, wv, bv), back)
 
 

@@ -224,10 +224,9 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
     drop = config.dropout_rate if train else 0.0
     eps = config.layer_norm_eps
 
-    positions = np.broadcast_to(np.arange(length), (b, length))
     x = ad.add(ad.add(ad.embedding_lookup(params["embeddings.token"], input_ids),
-                      ad.embedding_lookup(params["embeddings.position"], positions)),
-               ad.embedding_lookup(params["embeddings.segment"], segment_ids))
+                      ad.position_lookup(params["embeddings.position"], b, length)),
+               ad.segment_lookup(params["embeddings.segment"], segment_ids))
     x = _norm(x, params, "embeddings.norm", eps)
     x = ad.dropout(x, drop, rng)
 
@@ -246,13 +245,12 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
 
 
 def gather_rows(hidden: Tensor, rows) -> Tensor:
-    """(N, H): the rows of hidden (B, L, H) at flat indices b * L + l.
+    """(N, H): the rows of hidden (B, L, H) at distinct flat indices b * L + l.
 
     Heads that score a few positions run on these rows only; the backward
-    scatter-adds into hidden (it is an embedding lookup on the flattened
-    states)."""
+    writes into those rows of hidden's gradient."""
     b, length, h = hidden.shape
-    return ad.embedding_lookup(ad.reshape(hidden, (b * length, h)), rows)
+    return ad.take_rows(ad.reshape(hidden, (b * length, h)), rows)
 
 
 def mlm_logits(hidden: Tensor, params: dict, config: ModelConfig) -> Tensor:

@@ -326,20 +326,37 @@ def adam_step(params: dict, state: dict, lr: float, plan: TrainPlan,
         return (agreed.pop() if len(agreed) == 1
                 else np.repeat(np.array(values, arena.dtype), sizes))
 
+    b1, b2 = plan.adam_beta1, plan.adam_beta2
+    by_element = (*arena, g, np.empty_like(g), on,
+                  per_path(lambda p: 1.0 - b1 ** state[p]["t"]),
+                  per_path(lambda p: 1.0 - b2 ** state[p]["t"]),
+                  per_path(lambda p: lr * (lr_factors.get(p, 1.0) if lr_factors else 1.0)),
+                  # a select, not a multiply by 0.0, which is nan at an infinite weight
+                  np.repeat([not md.is_no_decay(p) for p in paths], sizes)
+                  if plan.weight_decay else None)
+
+    def update_range(s):
+        _adam_update(*(a[s] if isinstance(a, np.ndarray) else a for a in by_element), plan)
+    ad.share(update_range, ad.row_slices(g.size, g.size, arena, g))
+
+
+def _adam_update(w, m, v, g, tmp, on, c1, c2, factors, decay, plan) -> None:
+    """Adam's update of the arena elements w, m and v from gradients g, where
+    on (True or a mask) is set, with bias corrections c1 and c2, lr factors
+    and the weight-decay mask decay (None without decay); tmp is scratch.
+    The per-tensor update's expressions in its order, so the bits are its
+    bits; an element's bits depend on its own operands only, so `adam_step`
+    may update the arena in ranges."""
     mul, add, div = (partial(f, where=on) for f in (np.multiply, np.add, np.divide))
-    b1, b2, (w, m, v), tmp = plan.adam_beta1, plan.adam_beta2, arena, np.empty_like(g)
-    # the per-tensor update's expressions in its order, so the bits are its bits
+    b1, b2 = plan.adam_beta1, plan.adam_beta2
     add(mul(m, b1, out=m), mul(g, 1.0 - b1, out=tmp), out=m)
     add(mul(v, b2, out=v), mul(mul(g, 1.0 - b2, out=tmp), g, out=tmp), out=v)
-    v_hat = div(v, per_path(lambda p: 1.0 - b2 ** state[p]["t"]), out=tmp)
+    v_hat = div(v, c2, out=tmp)
     denom = add(np.sqrt(v_hat, out=tmp, where=on), plan.adam_eps, out=tmp)
-    update = div(div(m, per_path(lambda p: 1.0 - b1 ** state[p]["t"]), out=g), denom, out=g)
-    if plan.weight_decay:
-        # a select, not a multiply by 0.0, which is nan at an infinite weight
-        decay = np.repeat([not md.is_no_decay(p) for p in paths], sizes)
+    update = div(div(m, c1, out=g), denom, out=g)
+    if decay is not None:
         np.add(update, np.multiply(w, plan.weight_decay, out=tmp, where=decay), out=update,
                where=decay)
-    factors = per_path(lambda p: lr * (lr_factors.get(p, 1.0) if lr_factors else 1.0))
     np.subtract(w, mul(update, factors, out=update), out=w, where=on)
 
 
@@ -504,27 +521,28 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
     metrics = MetricsLog(metrics_path)
     replay_log = []
     try:
-        for step in range(start, stop):
-            replay = is_replay_step(step + 1, cf.replay_every)
-            batch = (replay_stream if replay else stream).batch(step)
-            if replay:
-                replay_log.append(step + 1)
-            lr = lr_at(step, plan)
-            if anchor is not None:
-                fparams = mixout_apply(state.params, anchor, cf.mixout_p,
-                                       substream(plan.seed, f"mixout.{step}"))
-            else:
-                fparams = state.params
-            loss, mlm_value, nsp_value = pretrain_loss(
-                fparams, config, batch, train=True,
-                rng=substream(plan.seed, f"dropout.{step}"))
-            train_step(loss, state.params, state.optimizer_state, lr, plan, factors)
-            del loss   # free this step's graph before the next forward pass
-            pppl_value = None
-            if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
-                pppl_value = heldout_pppl(state, held_sentences)
-            metrics.append({"step": step, "mlm_loss": mlm_value, "nsp_loss": nsp_value,
-                            "lr": lr, "pppl_heldout": pppl_value})
+        with ad.workers(plan.batch_size):
+            for step in range(start, stop):
+                replay = is_replay_step(step + 1, cf.replay_every)
+                batch = (replay_stream if replay else stream).batch(step)
+                if replay:
+                    replay_log.append(step + 1)
+                lr = lr_at(step, plan)
+                if anchor is not None:
+                    fparams = mixout_apply(state.params, anchor, cf.mixout_p,
+                                           substream(plan.seed, f"mixout.{step}"))
+                else:
+                    fparams = state.params
+                loss, mlm_value, nsp_value = pretrain_loss(
+                    fparams, config, batch, train=True,
+                    rng=substream(plan.seed, f"dropout.{step}"))
+                train_step(loss, state.params, state.optimizer_state, lr, plan, factors)
+                del loss   # free this step's graph before the next forward pass
+                pppl_value = None
+                if held_sentences and ((step + 1) % plan.eval_every == 0 or step == stop - 1):
+                    pppl_value = heldout_pppl(state, held_sentences)
+                metrics.append({"step": step, "mlm_loss": mlm_value, "nsp_loss": nsp_value,
+                                "lr": lr, "pppl_heldout": pppl_value})
     finally:
         metrics.close()
 

@@ -1,5 +1,7 @@
 """Gradient correctness for every primitive, plus the hand-checkable anchors."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,227 @@ def test_precision_context_controls_new_tensor_dtype():
     with ad.precision("float32"):
         assert Tensor([1.0]).dtype == np.float32
     assert Tensor([1.0]).dtype == np.float64
+
+
+# -- embedding gradients without np.add.at ------------------------------------
+
+
+def _zero_heavy(rng, shape, dtype):
+    """Normal values of mixed magnitude, two fifths of them -0.0 and a tenth +0.0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 4, shape)
+    u = rng.random(shape)
+    x[u < 0.4] = -0.0
+    x[(u >= 0.4) & (u < 0.5)] = 0.0
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_row_lookups_give_the_bits_of_add_at(dtype):
+    rng = np.random.default_rng(40)
+    with ad.precision(dtype):
+        for _ in range(300):
+            b, length, h = (int(rng.integers(1, n)) for n in (5, 9, 4))
+            g = _zero_heavy(rng, (b, length, h), dtype)
+
+            def add_at(table, ids):
+                want = np.zeros_like(table.data)
+                np.add.at(want, ids, g.reshape(ids.shape + (h,)))
+                return want
+
+            table = rand((length + 2, h), seed=int(rng.integers(1 << 30)))
+            positions = np.broadcast_to(np.arange(length), (b, length))
+            out = ad.position_lookup(table, b, length)
+            assert out.data.tobytes() == table.data[positions].tobytes()
+            out.backward(g)
+            assert table.grad.tobytes() == add_at(table, positions).tobytes()
+
+            table = rand((3, h), seed=int(rng.integers(1 << 30)))
+            segments = rng.integers(0, 2 + int(rng.integers(2)), (b, length))
+            out = ad.segment_lookup(table, segments)
+            assert out.data.tobytes() == table.data[segments].tobytes()
+            out.backward(g)
+            assert table.grad.tobytes() == add_at(table, segments).tobytes()
+
+            states = rand((b * length, h), seed=int(rng.integers(1 << 30)))
+            rows = rng.permutation(b * length)[:int(rng.integers(1, b * length + 1))]
+            out = ad.take_rows(states, rows)
+            assert out.data.tobytes() == states.data[rows].tobytes()
+            out.backward(g.reshape(-1, h)[:len(rows)])
+            want = np.zeros_like(states.data)
+            np.add.at(want, rows, g.reshape(-1, h)[:len(rows)])
+            assert states.grad.tobytes() == want.tobytes()
+        for lookup in (lambda t: ad.position_lookup(t, 0, 4),
+                       lambda t: ad.segment_lookup(t, np.zeros((0, 4), np.int64))):
+            table = rand((5, 2))
+            lookup(table).backward(np.zeros((0, 4, 2), dtype))   # an empty batch
+            assert not table.grad.any()
+
+
+def test_take_rows_refuses_repeated_or_outside_rows():
+    states = rand((4, 2))
+    for rows in ([0, 2, 0], [4], [[0, 1]]):
+        with pytest.raises(DimensionError, match="take_rows"):
+            ad.take_rows(states, np.array(rows))
+
+
+# -- dropout needs an rng -------------------------------------------------------
+
+
+@pytest.mark.parametrize("rng", [None, 7, np.random.RandomState(0)], ids=["none", "int",
+                                                                          "RandomState"])
+def test_dropout_at_a_positive_rate_without_a_generator_is_a_value_error(rng):
+    x = rand((2, 4, 4), seed=42)
+    weights = [rand((4, 4) if i % 2 == 0 else (4,), seed=i) for i in range(6)]
+    with pytest.raises(ValueError, match="rng"):
+        ad.dropout(x, 0.1, rng)
+    with pytest.raises(ValueError, match="rng"):
+        ad.attention(x, *weights, np.zeros((2, 1, 1, 4)), 2, 0.1, rng)
+    assert ad.dropout(x, 0.0, rng) is x
+    assert ad.attention(x, *weights, np.zeros((2, 1, 1, 4)), 2, 0.0, rng).shape == x.shape
+
+
+# -- worker threads ---------------------------------------------------------
+
+
+needs_blas_controls = pytest.mark.skipif(
+    ad._openblas() is None, reason="without OpenBLAS thread controls nothing splits")
+
+
+def blas_threads():
+    return ad._openblas()[0]()
+
+
+def force_split(monkeypatch, n_workers, block=None):
+    """n_workers CPUs, and every op large enough to split."""
+    monkeypatch.setattr(ad, "_cpu_count", lambda: n_workers)
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)
+    if block:
+        monkeypatch.setattr(ad, "_BLOCK", block)
+
+
+def twin(rng):
+    copy = np.random.Generator(np.random.PCG64())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1,), (3,), (3, 5, 7), (7, 3), (16, 2, 5)])
+@pytest.mark.parametrize("n_pieces", [1, 2, 3])
+@pytest.mark.parametrize("buffered", [False, True], ids=["whole-words", "half-word-buffered"])
+def test_a_split_mask_is_one_draw(shape, n_pieces, buffered):
+    rng = np.random.default_rng(43)
+    rng.random(5)
+    if buffered:   # a uint32 draw leaves half a 64-bit word for the next one
+        rng.integers(0, 10, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == buffered
+    expected_rng = twin(rng)
+    want = ad._dropout_mask(shape, 0.3, expected_rng, np.float32)
+    mask, fill = ad._split_mask(shape, 0.3, rng, np.float32)
+    bounds = np.linspace(0, shape[0], min(n_pieces, max(shape[0], 1)) + 1).astype(int)
+    for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+        fill(slice(lo, hi))
+    assert mask.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    assert rng.integers(0, 10, 5, dtype=np.uint32).tolist() == \
+        expected_rng.integers(0, 10, 5, dtype=np.uint32).tolist()
+    assert rng.random(4).tobytes() == expected_rng.random(4).tobytes()
+
+
+def test_a_mask_from_another_bit_generator_is_drawn_whole():
+    rng = np.random.Generator(np.random.MT19937(44))
+    want = ad._dropout_mask((5, 3), 0.5, np.random.Generator(np.random.MT19937(44)), np.float64)
+    mask, fill = ad._split_mask((5, 3), 0.5, rng, np.float64)
+    fill(slice(0, 2))
+    assert mask.tobytes() == want.tobytes()
+
+
+def op_bytes(op, inputs, seed):
+    """Output, input gradients and rng state after op's forward and backward."""
+    tensors = [Tensor(a, requires_grad=True) for a in inputs]
+    rng = np.random.default_rng(seed)
+    out = op(tensors, rng)
+    out.backward(np.random.default_rng(seed + 1).standard_normal(out.shape))
+    return ([out.data.tobytes()] + [t.grad.tobytes() for t in tensors]
+            + [str(rng.bit_generator.state)])
+
+
+OPS = {
+    "linear": (lambda ts, rng: ad.linear(*ts), [(5, 6, 4), (4, 3), (3,)]),
+    "attention": (lambda ts, rng: ad.attention(
+        *ts, np.where(np.arange(6) < 4, 0.0, -1e9)[None, None, None, :].repeat(5, 0),
+        2, 0.2, rng), [(5, 6, 4)] + [(4, 4), (4,)] * 3),
+    "add_norm": (lambda ts, rng: ad.add_norm(*ts), [(5, 6, 4), (5, 6, 4), (4,), (4,)]),
+    "layer_norm": (lambda ts, rng: ad.layer_norm(*ts), [(5, 6, 4), (4,), (4,)]),
+    "gelu": (lambda ts, rng: ad.gelu(*ts), [(5, 6, 7)]),
+    "dropout": (lambda ts, rng: ad.dropout(ts[0], 0.3, rng), [(5, 6, 4)]),
+}
+
+
+@needs_blas_controls
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("name", OPS)
+def test_split_ops_give_the_same_bytes_on_any_worker_count(monkeypatch, dtype, name):
+    op, shapes = OPS[name]
+    rng = np.random.default_rng(45)
+    inputs = [_zero_heavy(rng, shape, dtype) if len(shape) > 1 else
+              rng.standard_normal(shape).astype(dtype) for shape in shapes]
+    splits, full = [], ad.share
+    monkeypatch.setattr(ad, "share", lambda work, args: (splits.append(len(args)),
+                                                         full(work, args))[1])
+    runs = []
+    for n in (1, 2, 3):
+        force_split(monkeypatch, n, block=16)
+        splits.clear()
+        with ad.precision(dtype), ad.workers(5):
+            runs.append(op_bytes(op, inputs, seed=46))
+        assert max(splits, default=1) == n
+    assert runs[0] == runs[1] == runs[2]
+
+
+def fails_on_a_helper():
+    """An error raised on a helper thread while the caller's pieces succeed."""
+    raised = threading.Event()
+
+    def work(k):
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=30)
+            return k
+        try:
+            raise ValueError(f"piece {k} failed")
+        finally:
+            raised.set()
+    return work
+
+
+@needs_blas_controls
+def test_an_error_in_a_helper_reaches_the_caller_and_everything_is_restored(monkeypatch):
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 3)
+    threads, blas = threading.active_count(), blas_threads()
+    with ad.no_grad():
+        with ad.workers(8):
+            assert threading.active_count() == threads and blas_threads() == blas
+            assert ad.share(lambda k: k, [7]) == [7]   # one piece starts nothing
+            assert threading.active_count() == threads and blas_threads() == blas
+            assert ad.share(lambda k: k, range(2)) == [0, 1]
+            assert threading.active_count() == threads + 2 and blas_threads() == 1
+            with ad.workers(8):   # an inner context adds nothing
+                assert threading.active_count() == threads + 2
+            with pytest.raises(ValueError, match="piece [0-9] failed"):
+                ad.share(fails_on_a_helper(), range(6))
+            assert ad.share(lambda k: 2 * k, range(5)) == [0, 2, 4, 6, 8]
+    assert threading.active_count() == threads and blas_threads() == blas
+    assert ad._GRAD_ENABLED is True
+    with pytest.raises(ZeroDivisionError):
+        with ad.workers(8):
+            ad.share(lambda k: 1 / (k - 2), range(5))
+    assert threading.active_count() == threads and blas_threads() == blas
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
+    threads = threading.active_count()
+    with ad.workers(16):
+        assert ad._POOL is None
+        assert ad.row_slices(16, 1 << 30) == [slice(0, 16)]
+        assert ad.share(lambda k: k, range(16)) == list(range(16))
+        assert threading.active_count() == threads

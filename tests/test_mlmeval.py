@@ -178,7 +178,7 @@ def test_model_scorer_decodes_one_row_per_sequence(vocab, monkeypatch):
     assert rows == [(7, 32)]   # every chunk's scored row, in one call
 
 
-OPENBLAS = ev._openblas()   # read before any test patches it away
+OPENBLAS = ad._openblas()   # read before any test patches it away
 
 
 def blas_threads():
@@ -203,10 +203,10 @@ def outer_blas():
 def workers(request, monkeypatch):
     """The scorer's worker count: one CPU, two CPUs, or two CPUs without
     the OpenBLAS thread controls (one worker again)."""
-    monkeypatch.setattr(ev.os, "sched_getaffinity",
+    monkeypatch.setattr(ad.os, "sched_getaffinity",
                         lambda pid: {0} if request.param == "one-worker" else {0, 1})
     if request.param == "no-openblas":
-        monkeypatch.setattr(ev, "_openblas", lambda: None)
+        monkeypatch.setattr(ad, "_openblas", lambda: None)
     return request.param
 
 
@@ -250,8 +250,33 @@ def test_model_scorer_bits_depend_on_neither_chunk_size_nor_workers(
             assert blas_threads() == outer_blas
 
 
+@pytest.mark.skipif(OPENBLAS is None, reason="needs the OpenBLAS thread controls")
+def test_a_scorer_inside_started_training_workers_gives_the_bits_of_one_outside(
+        outer_blas, monkeypatch):
+    """Held-out PPPL in desk pretraining runs the head inside the training
+    loop's `workers` context, on one OpenBLAS thread once its helpers run;
+    called on its own the head runs on two. float64, at the desk head's
+    shape (H=128, vocab 8000, 64 rows), well above OpenBLAS's threading
+    threshold."""
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
+    with ad.precision("float64"):
+        config = md.ModelConfig(n_layers=1, hidden_dim=128, n_heads=2, ff_dim=128,
+                                max_seq_len=8, vocab_size=8000, dropout_rate=0.0)
+        scorer = ev.ModelScorer(md.init_params(config, substream(12, "init")), config)
+        rng = np.random.default_rng(6)
+        ids = rng.integers(len(tk.SPECIAL_TOKENS), config.vocab_size, size=(64, 8))
+        mask, positions = np.ones_like(ids), rng.integers(0, 8, 64)
+        outside = scorer(ids, mask, positions)
+        with ad.workers(16):
+            ad.share(lambda k: k, range(2))   # the helpers start
+            assert blas_threads() == 1
+            inside = scorer(ids, mask, positions)
+    assert blas_threads() == outer_blas
+    assert inside.tobytes() == outside.tobytes()
+
+
 def test_model_scorer_encodes_each_chunk_once_under_thread_switching(vocab, monkeypatch):
-    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(8)))
     ids, mask, positions = padded_rows(vocab)
     expected = real_scorer(vocab, chunk_size=len(ids))(ids, mask, positions)
     calls, full = [], md.forward_encoder
@@ -275,7 +300,7 @@ def test_model_scorer_encodes_each_chunk_once_under_thread_switching(vocab, monk
 @pytest.mark.parametrize("where", ["any-worker", "helper"])
 def test_model_scorer_error_in_a_chunk_reaches_the_caller_and_cleans_up(
         outer_blas, vocab, monkeypatch, where):
-    monkeypatch.setattr(ev.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
     scorer = real_scorer(vocab, chunk_size=2)
     ids, mask, positions = padded_rows(vocab)
     threads = threading.active_count()

@@ -4,6 +4,7 @@ values, the step-0 loss at ln(V)+ln 2, a real training-improvement run, and
 bit-identical resume from a checkpoint."""
 
 import math
+import threading
 import weakref
 from dataclasses import replace
 
@@ -737,6 +738,106 @@ def test_previous_step_graph_is_freed_before_the_next_forward(monkeypatch):
     monkeypatch.setattr(md, "forward_encoder", watched)
     pt.run_pretraining(tiny_state(vocab), word_corpus(vocab), quick_plan(total_steps=3))
     assert len(previous) == 3
+
+
+# -- worker threads -------------------------------------------------------------
+
+
+def force_split(monkeypatch, n_workers):
+    """n_workers CPUs; every op large enough to split, GELU in 16-element blocks."""
+    monkeypatch.setattr(ad, "_cpu_count", lambda: n_workers)
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)
+    monkeypatch.setattr(ad, "_BLOCK", 16)
+
+
+def padded_batch(vocab, batch_size, length=12, seed=5) -> pt.PretrainBatch:
+    """Random rows, every other one padded at its tail, with MLM targets."""
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(len(SPECIAL_TOKENS), len(vocab), (batch_size, length))
+    mask = np.ones_like(ids)
+    for row in range(0, batch_size, 2):
+        mask[row, length - 1 - row % 4:] = 0
+    ids[mask == 0] = vocab.pad_id
+    segments = (np.arange(length) >= length // 2).astype(np.int64) * mask
+    targets = np.where((rng.random(ids.shape) < 0.3) & (mask == 1), ids, pt.IGNORE_INDEX)
+    targets[0, 1] = ids[0, 1]
+    return pt.PretrainBatch(ids, segments, mask, targets,
+                            rng.integers(0, 2, batch_size).astype(np.int64))
+
+
+@pytest.mark.skipif(ad._openblas() is None,
+                    reason="without OpenBLAS thread controls nothing splits")
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("batch_size", [1, 3, 16])
+def test_a_training_step_has_the_same_bytes_on_one_two_and_three_workers(
+        monkeypatch, dtype, batch_size):
+    vocab = word_vocab(30)
+    batch = padded_batch(vocab, batch_size)
+    splits, full = [], ad.share
+    monkeypatch.setattr(ad, "share", lambda work, args: (splits.append(len(args)),
+                                                         full(work, args))[1])
+    runs = []
+    for n_workers in (1, 2, 3):
+        force_split(monkeypatch, n_workers)
+        splits.clear()
+        with ad.precision(dtype):
+            state = tiny_state(vocab, seed=5, dropout_rate=0.1)
+            params, slots = md.copy_params(state.params)
+            with ad.workers(batch_size):
+                loss, mlm, nsp = pt.pretrain_loss(params, state.config, batch, train=True,
+                                                  rng=substream(5, "dropout.0"))
+                pt.train_step(loss, params, slots, 1e-3, quick_plan())
+        assert params["embeddings.token"].dtype == np.dtype(dtype)
+        runs.append([loss.data.tobytes()] + [params[p].grad.tobytes() for p in sorted(params)]
+                    + [row.tobytes() for row in params["embeddings.token"].data.base])
+        # one row of work starts no helper
+        assert max(splits, default=1) == (n_workers if batch_size > 1 else 1)
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_helpers_start_only_for_work_that_splits_and_outlive_no_run(monkeypatch):
+    vocab = word_vocab(20)
+    seen, full = [], md.forward_encoder
+
+    def counting(*args, **kwargs):
+        seen.append(threading.active_count())
+        return full(*args, **kwargs)
+    monkeypatch.setattr(md, "forward_encoder", counting)
+    threads = threading.active_count()
+    helper = 1 if ad._openblas() is not None else 0
+    # (CPUs, whether every op splits): threads seen entering each step's forward
+    for cpus, split, want in ((1, True, [0, 0]), (2, False, [0, 0]), (2, True, [0, helper])):
+        monkeypatch.setattr(ad, "_cpu_count", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(ad, "_SPLIT_MIN", 1 if split else 1 << 17)
+        seen.clear()
+        pt.run_pretraining(tiny_state(vocab), word_corpus(vocab), quick_plan(total_steps=2))
+        assert seen == [threads + n for n in want]
+        assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(ad._openblas() is None,
+                    reason="without OpenBLAS thread controls nothing splits")
+def test_an_error_in_a_helper_leaves_training_with_threads_and_blas_restored(monkeypatch):
+    force_split(monkeypatch, 2)
+    vocab = word_vocab(20)
+    blas, threads, full = ad._openblas()[0](), threading.active_count(), ad._normalize_back_rows
+    raised = threading.Event()
+
+    def faulty(*args):
+        if not ad._POOL.busy:
+            return full(*args)
+        if threading.current_thread() is threading.main_thread():
+            raised.wait(timeout=30)   # the caller's own rows succeed
+            return full(*args)
+        try:
+            raise FloatingPointError("helper failed")
+        finally:
+            raised.set()
+    monkeypatch.setattr(ad, "_normalize_back_rows", faulty)
+    with pytest.raises(FloatingPointError, match="helper failed"):
+        pt.run_pretraining(tiny_state(vocab), word_corpus(vocab), quick_plan(total_steps=2))
+    assert threading.active_count() == threads and ad._openblas()[0]() == blas
+    assert ad._GRAD_ENABLED is True and ad._POOL is None
 
 
 def test_vocabulary_fingerprint_mismatch_is_configuration_error():
