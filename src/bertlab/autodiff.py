@@ -30,6 +30,12 @@ expressions on its rows, dropout masks are drawn in pieces from copies of
 the rng, and reductions over rows (weight, bias and gain gradients) and
 gradient accumulation stay sequential in the caller, so the bits do not
 depend on the worker count.
+
+From the first op whose work reaches the split size, with or without
+workers, glibc's malloc serves blocks under 32 MiB from its heap and never
+trims it, so the large temporaries of desk-size steps reuse freed memory
+instead of being mapped and faulted in afresh. This holds for the rest of
+the process; toy-size work leaves malloc alone.
 """
 
 import ctypes
@@ -116,6 +122,46 @@ def _openblas():
     return None
 
 
+# glibc's mallopt parameters, and the most its dynamic mmap threshold reaches
+# on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+_FREED_KEPT = False    # set by the first op whose work reaches _SPLIT_MIN
+_FREED_KEPT_LOCK = threading.Lock()
+
+
+@functools.cache
+def _mallopt():
+    """glibc's mallopt(param, value), or None off glibc (other C libraries
+    number the parameters differently, or have no mallopt)."""
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):   # no C library to search, as on Windows
+        return None
+    if not (hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt")):
+        return None
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return libc.mallopt
+
+
+def _keep_freed_memory() -> None:
+    """Once per process, have malloc reuse freed heap blocks for blocks under
+    32 MiB and never trim the heap. Otherwise glibc maps each large temporary
+    of a desk-size op afresh, faults it in page by page and unmaps it when it
+    is freed. Either setting alone was slower (setting one turns off glibc's
+    dynamic threshold). Never undone: the process keeps its peak heap until
+    exit. Off glibc, nothing changes."""
+    global _FREED_KEPT
+    with _FREED_KEPT_LOCK:
+        if _FREED_KEPT:
+            return
+        _FREED_KEPT = True
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, -1)
+
+
 class _Pool:
     """Up to n_helpers helper threads that run the jobs put on their queue.
     They start at the first share that splits, and from then until close
@@ -180,7 +226,11 @@ def row_slices(rows: int, size: int, *arrays) -> list:
     """Slices of range(rows) for `share`: one per worker when a `workers`
     context is open, no share is running, the work covers at least
     _SPLIT_MIN elements (size) and the arrays agree in dtype; else one
-    slice of all the rows."""
+    slice of all the rows. The first work of _SPLIT_MIN elements, split or
+    not, has malloc keep freed memory for the rest of the process
+    (`_keep_freed_memory`)."""
+    if size >= _SPLIT_MIN and not _FREED_KEPT:
+        _keep_freed_memory()
     pool = _POOL
     if (pool is None or pool.busy or size < _SPLIT_MIN or rows < 2
             or len({a.dtype for a in arrays}) > 1):

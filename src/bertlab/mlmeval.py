@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import model as md
 from .errors import (ConfigurationError, InputError, NumericFault, ValidationError,
                      read_json_lines)
-from .tokenizer import Vocabulary, encode, normalize
+from .tokenizer import Vocabulary, encode, encode_all, normalize
 
 EXCLUDED_NOT_SINGLE_TOKEN = "target_is_not_a_single_vocabulary_token"
 
@@ -115,8 +115,8 @@ def pppl(scorer, sentences, vocab: Vocabulary, max_seq_len: int) -> PpplResult:
     """exp(-(1/N) sum over all maskings of log p(token | rest of sentence))."""
     all_logs = []
     per_sentence = []
-    for idx, text in enumerate(sentences):
-        ids = encode(text, vocab).ids
+    for idx, (seq, _) in enumerate(encode_all(sentences, vocab)):
+        ids = seq.ids
         if not ids:
             continue
         if len(ids) + 2 > max_seq_len:
@@ -139,8 +139,8 @@ def pppl(scorer, sentences, vocab: Vocabulary, max_seq_len: int) -> PpplResult:
 def pppl_naive(scorer, sentences, vocab: Vocabulary, max_seq_len: int) -> PpplResult:
     """Reference implementation: one scorer call per masking."""
     all_logs = []
-    for text in sentences:
-        ids = encode(text, vocab).ids
+    for seq, _ in encode_all(sentences, vocab):
+        ids = seq.ids
         if not ids:
             continue
         if len(ids) + 2 > max_seq_len:

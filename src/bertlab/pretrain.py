@@ -28,7 +28,7 @@ from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .model import ModelState
 from .seeding import substream
-from .tokenizer import Vocabulary, encode
+from .tokenizer import Vocabulary, encode_all
 
 NSP_IS_NEXT = 0
 NSP_NOT_NEXT = 1
@@ -181,7 +181,8 @@ class BatchStream:
         self.vocab = vocab
         self.plan = plan
         self.label = label
-        self.doc_ids = [[encode(s, vocab).ids for s in doc] for doc in corpus.documents]
+        encoded = iter(encode_all((s for doc in corpus.documents for s in doc), vocab))
+        self.doc_ids = [[next(encoded)[0].ids for _ in doc] for doc in corpus.documents]
         self.doc_ids = [[ids for ids in doc if ids] for doc in self.doc_ids]
         self.doc_ids = [doc for doc in self.doc_ids if doc]
         if len(self.doc_ids) < 2:
@@ -557,8 +558,9 @@ def run_pretraining(init, corpus: Corpus, plan: TrainPlan, *, vocab: Vocabulary 
 def heldout_pppl(state: ModelState, sentences) -> float:
     """Held-out pseudo-perplexity over the sentences that fit the model."""
     limit = state.config.max_seq_len
-    usable = [s for s in sentences
-              if len(encode(s, state.vocab).ids) + 2 <= limit]
+    sentences = list(sentences)
+    usable = [s for s, (seq, _) in zip(sentences, encode_all(sentences, state.vocab))
+              if len(seq) + 2 <= limit]
     if not usable:
         return None
     scorer = mlmeval.ModelScorer(state.params, state.config)

@@ -11,7 +11,10 @@ live pairs that hold one of its two tokens or the new one: O(w + p log P)
 for w pieces in those words, p such pairs and P live pairs, where a scan of
 every live pair cost O(P). The vocabulary is the one that scan picks, token
 for token. Encoding is longest-match-first with "##" continuation pieces and
-whole-word [UNK] fallback.
+whole-word [UNK] fallback; the search at each position starts at the
+longest token's length, so a word costs time linear in its length.
+`encode_all` encodes many texts and segments each distinct whitespace
+chunk once per call.
 """
 
 import hashlib
@@ -42,7 +45,7 @@ def _is_punct(ch: str) -> bool:
 
 def pretokenize(text: str) -> list:
     """Whitespace words with punctuation/symbol characters split out."""
-    return [word for word, _, _ in pretokenize_spans(text)]
+    return [word for chunk in text.split() for word, _, _ in _chunk_words(chunk)]
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,11 @@ class Vocabulary:
     specials: dict
     fingerprint: str
     lowercase: bool = False
+    # characters in the longest token: no longer string can be a piece
+    longest: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "longest", max(map(len, self.tokens)))
 
     @classmethod
     def from_tokens(cls, tokens, lowercase: bool = False) -> "Vocabulary":
@@ -247,11 +255,13 @@ def train_vocab(corpus, size: int, min_freq: int = 1, lowercase: bool = False) -
 
 
 def _munch(word: str, vocab: Vocabulary):
-    """Longest-match-first segmentation of one word; None if it cannot be covered."""
+    """Longest-match-first segmentation of one word; None if it cannot be
+    covered. A match is at most vocab.longest characters, so the search at
+    each position starts there: linear in the word's length."""
     pieces = []
-    start = 0
-    while start < len(word):
-        end = len(word)
+    start, size = 0, len(word)
+    while start < size:
+        end = min(size, start + vocab.longest)
         found = None
         while end > start:
             sub = word[start:end]
@@ -268,26 +278,36 @@ def _munch(word: str, vocab: Vocabulary):
     return pieces
 
 
+def _chunk_words(chunk: str) -> list:
+    """(word, start, end) of one whitespace chunk's words, punctuation and
+    symbol characters split out, with offsets into the chunk."""
+    words = []
+    run = 0
+    for k, ch in enumerate(chunk):
+        if _is_punct(ch):
+            if k > run:
+                words.append((chunk[run:k], run, k))
+            words.append((ch, k, k + 1))
+            run = k + 1
+    if len(chunk) > run:
+        words.append((chunk[run:], run, len(chunk)))
+    return words
+
+
 def pretokenize_spans(text: str) -> list:
     """pretokenize plus (word, start, end) character offsets into `text`."""
     spans = []
     for chunk in _NON_SPACE.finditer(text):
-        run, end = chunk.span()
-        for k, ch in enumerate(chunk.group(), run):
-            if _is_punct(ch):
-                if k > run:
-                    spans.append((text[run:k], run, k))
-                spans.append((ch, k, k + 1))
-                run = k + 1
-        if end > run:
-            spans.append((text[run:end], run, end))
+        at = chunk.start()
+        spans += [(word, at + start, at + end) for word, start, end in _chunk_words(chunk.group())]
     return spans
 
 
-def _encode(text: str, vocab: Vocabulary):
-    norm = normalize(text, vocab.lowercase)
+def _encode_chunk(chunk: str, vocab: Vocabulary) -> tuple:
+    """(ids, word boundaries, offsets) of one whitespace chunk, with offsets
+    into the chunk."""
     ids, boundaries, offsets = [], [], []
-    for word, start, end in pretokenize_spans(norm):
+    for word, start, end in _chunk_words(chunk):
         boundaries.append(len(ids))
         pieces = _munch(word, vocab)
         if pieces is None:
@@ -300,6 +320,26 @@ def _encode(text: str, vocab: Vocabulary):
             ids.append(vocab.ids[p])
             offsets.append((pos, pos + length))
             pos += length
+    return ids, boundaries, offsets
+
+
+def _encode(text: str, vocab: Vocabulary, chunks: dict):
+    """encode_with_offsets of text, each distinct whitespace chunk of it
+    segmented once into chunks, which maps a chunk to its _encode_chunk."""
+    norm = normalize(text, vocab.lowercase)
+    ids, boundaries, offsets = [], [], []
+    for match in _NON_SPACE.finditer(norm):
+        chunk = match[0]
+        done = chunks.get(chunk)
+        if done is None:
+            done = chunks[chunk] = _encode_chunk(chunk, vocab)
+        chunk_ids, chunk_boundaries, chunk_offsets = done
+        first, at = len(ids), match.start()
+        ids += chunk_ids
+        for b in chunk_boundaries:
+            boundaries.append(first + b)
+        for start, end in chunk_offsets:
+            offsets.append((at + start, at + end))
     return TokenSequence(ids=tuple(ids), word_boundaries=tuple(boundaries)), tuple(offsets)
 
 
@@ -308,7 +348,7 @@ def _encode(text: str, vocab: Vocabulary):
 def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Segment text into piece ids. No specials are added here; sequence
     assembly ([CLS]/[SEP]/padding) happens at batch construction."""
-    return _encode(text, vocab)[0]
+    return _encode(text, vocab, {})[0]
 
 
 def encode_with_offsets(text: str, vocab: Vocabulary):
@@ -316,7 +356,15 @@ def encode_with_offsets(text: str, vocab: Vocabulary):
     normalize(text, vocab.lowercase); within a word, pieces partition the
     word's characters, and an unsegmentable word is one UNK piece covering
     all of it."""
-    return _encode(text, vocab)
+    return _encode(text, vocab, {})
+
+
+def encode_all(texts, vocab: Vocabulary) -> list:
+    """[encode_with_offsets(t, vocab) for t in texts], segmenting each
+    distinct whitespace chunk once: a corpus repeats its words, so most
+    chunks are looked up. The chunk cache lives for this call only."""
+    chunks = {}
+    return [_encode(text, vocab, chunks) for text in texts]
 
 
 def decode(seq, vocab: Vocabulary) -> str:

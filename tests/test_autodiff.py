@@ -544,3 +544,31 @@ def test_one_cpu_starts_no_thread(monkeypatch):
         assert ad.row_slices(16, 1 << 30) == [slice(0, 16)]
         assert ad.share(lambda k: k, range(16)) == list(range(16))
         assert threading.active_count() == threads
+
+
+# -- malloc keeps freed memory from the first desk-size op on ------------------
+
+
+def record_mallopt(monkeypatch) -> list:
+    """The (param, value) calls made to glibc's mallopt, none of them made,
+    in a process that has not yet reached _SPLIT_MIN."""
+    calls = []
+    monkeypatch.setattr(ad, "_FREED_KEPT", False)
+    monkeypatch.setattr(ad, "_mallopt", lambda: lambda *call: calls.append(call) or 1)
+    return calls
+
+
+def test_the_first_desk_size_op_keeps_freed_memory_once_per_process(monkeypatch):
+    calls = record_mallopt(monkeypatch)
+    ad.gelu(Tensor(np.zeros((4, 64, 64))))        # 2^14 elements
+    ad.row_slices(16, ad._SPLIT_MIN - 1)
+    assert calls == [] and not ad._FREED_KEPT
+    # outside any workers context the op runs whole, and still counts
+    ad.gelu(Tensor(np.zeros((2, 256, 256))))      # 2^17 elements
+    assert calls == [(ad._M_MMAP_THRESHOLD, 32 << 20), (ad._M_TRIM_THRESHOLD, -1)]
+    assert (ad._M_MMAP_THRESHOLD, ad._M_TRIM_THRESHOLD) == (-3, -1)   # glibc's malloc.h
+    assert ad._FREED_KEPT
+    ad.gelu(Tensor(np.zeros((2, 256, 256))))
+    with ad.workers(16):
+        ad.row_slices(16, 1 << 30)
+    assert len(calls) == 2

@@ -22,6 +22,7 @@ from bertlab.cli import entrypoint
 from bertlab.errors import ConfigurationError, InputError, ValidationError
 from bertlab.seeding import substream
 from statecheck import assert_same_state
+from test_autodiff import record_mallopt
 
 IGN = pt.IGNORE_INDEX
 
@@ -695,6 +696,13 @@ def test_negative_label_absent_from_train_still_trains(state):
 
 
 QUICK = dict(lr=5e-3, batch_size=8, max_seq_len=32)
+
+
+def test_toy_finetuning_leaves_malloc_alone(monkeypatch, state, ner_dataset):
+    # no op of a toy model reaches autodiff._SPLIT_MIN
+    calls = record_mallopt(monkeypatch)
+    ft.finetune_task(state, ner_dataset, ft.FinetunePlan(epochs=1, **QUICK), seeds=(1,))
+    assert calls == [] and not ad._FREED_KEPT
 
 
 def test_ner_learns_and_is_deterministic(state, ner_dataset):

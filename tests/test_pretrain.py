@@ -3,10 +3,12 @@ count/split statistics, the hand-evaluated Adam step, schedule boundary
 values, the step-0 loss at ln(V)+ln 2, a real training-improvement run, and
 bit-identical resume from a checkpoint."""
 
+import importlib
 import math
 import threading
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from bertlab.errors import (ConfigurationError, DimensionError, InputError,
                             NumericFault, ValidationError)
 from bertlab.mitigation import CFConfig, preset
 from bertlab.seeding import substream
-from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, encode
+from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, encode, train_vocab
 from statecheck import assert_same_state
+from test_autodiff import record_mallopt
+from test_tokenizer import encode_scan
 
 
 def word_vocab(n_words: int) -> Vocabulary:
@@ -124,6 +128,24 @@ def test_split_heldout_keeps_at_least_one_on_each_side():
     assert len(train.documents) == 1 and len(held.documents) == 2
     train, held = pt.split_heldout(c, 0.01)
     assert len(held.documents) == 1
+
+
+@pytest.mark.parametrize("scale", ["toy", "desk"])
+def test_batch_stream_encodes_the_benchmark_corpora_as_the_word_by_word_encoder(
+        monkeypatch, scale):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    if scale == "toy":   # perfbench's toy-adapt domain A and vocabulary budget
+        corpus = inputs.chain_corpus(1, inputs.domain_words("a", 20), 60)
+        vocab = train_vocab(inputs.corpus_sentences(corpus), 100)
+    else:                # desk-pretrain's corpus and vocabulary
+        lexicon = inputs.syllable_lexicon(1, 3000)
+        lines = inputs.syllable_lines(1, lexicon, 400, 64)
+        vocab = train_vocab(lines + inputs.lexicon_lines(lexicon, 64), 8000)
+        corpus = inputs.as_corpus(lines, per_doc=4)
+    expected = [[seq.ids for seq in (encode_scan(s, vocab)[0] for s in doc) if seq.ids]
+                for doc in corpus.documents]
+    assert pt.BatchStream(corpus, vocab, quick_plan()).doc_ids == [d for d in expected if d]
 
 
 # -- plan and schedule ------------------------------------------------------
@@ -765,6 +787,21 @@ def padded_batch(vocab, batch_size, length=12, seed=5) -> pt.PretrainBatch:
                             rng.integers(0, 2, batch_size).astype(np.int64))
 
 
+def step_bytes(vocab, batch, dtype) -> list:
+    """The loss, every gradient and every Adam arena row of one dropout-on
+    training step, as bytes; inside a workers context."""
+    with ad.precision(dtype):
+        state = tiny_state(vocab, seed=5, dropout_rate=0.1)
+        params, slots = md.copy_params(state.params)
+        with ad.workers(len(batch.input_ids)):
+            loss, mlm, nsp = pt.pretrain_loss(params, state.config, batch, train=True,
+                                              rng=substream(5, "dropout.0"))
+            pt.train_step(loss, params, slots, 1e-3, quick_plan())
+    assert params["embeddings.token"].dtype == np.dtype(dtype)
+    return ([loss.data.tobytes()] + [params[p].grad.tobytes() for p in sorted(params)]
+            + [row.tobytes() for row in params["embeddings.token"].data.base])
+
+
 @pytest.mark.skipif(ad._openblas() is None,
                     reason="without OpenBLAS thread controls nothing splits")
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -780,19 +817,34 @@ def test_a_training_step_has_the_same_bytes_on_one_two_and_three_workers(
     for n_workers in (1, 2, 3):
         force_split(monkeypatch, n_workers)
         splits.clear()
-        with ad.precision(dtype):
-            state = tiny_state(vocab, seed=5, dropout_rate=0.1)
-            params, slots = md.copy_params(state.params)
-            with ad.workers(batch_size):
-                loss, mlm, nsp = pt.pretrain_loss(params, state.config, batch, train=True,
-                                                  rng=substream(5, "dropout.0"))
-                pt.train_step(loss, params, slots, 1e-3, quick_plan())
-        assert params["embeddings.token"].dtype == np.dtype(dtype)
-        runs.append([loss.data.tobytes()] + [params[p].grad.tobytes() for p in sorted(params)]
-                    + [row.tobytes() for row in params["embeddings.token"].data.base])
+        runs.append(step_bytes(vocab, batch, dtype))
         # one row of work starts no helper
         assert max(splits, default=1) == (n_workers if batch_size > 1 else 1)
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.skipif(ad._openblas() is None,
+                    reason="without OpenBLAS thread controls nothing splits")
+def test_a_split_step_without_mallopt_has_the_same_bytes(monkeypatch):
+    vocab = word_vocab(30)
+    batch = padded_batch(vocab, 4)
+    whole = step_bytes(vocab, batch, "float32")
+    force_split(monkeypatch, 2)
+    monkeypatch.setattr(ad, "_FREED_KEPT", False)
+    monkeypatch.setattr(ad, "_mallopt", lambda: None)   # as off glibc
+    assert step_bytes(vocab, batch, "float32") == whole
+    assert ad._FREED_KEPT
+
+
+def test_toy_training_leaves_malloc_alone(monkeypatch):
+    # perfbench's toy-adapt shapes on two CPUs: no op reaches _SPLIT_MIN
+    calls = record_mallopt(monkeypatch)
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 2)
+    vocab = word_vocab(95)
+    state = tiny_state(vocab, hidden_dim=32, n_heads=4, ff_dim=64)
+    pt.run_pretraining(state, word_corpus(vocab, n_docs=8),
+                       quick_plan(total_steps=2, batch_size=16))
+    assert calls == [] and not ad._FREED_KEPT
 
 
 def test_helpers_start_only_for_work_that_splits_and_outlive_no_run(monkeypatch):

@@ -1,6 +1,8 @@
 """Vocabulary induction (hand-run greedy merges, the heap trainer against the
 scan oracle), encode/decode, file I/O."""
 
+import time
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -343,7 +345,7 @@ def test_vocab_disagreeing_with_sidecar_fingerprint_is_input_error(tmp_path, voc
 
 
 def test_pretokenize_spans_mirror_pretokenize():
-    text = "  Dura-mater, sì!  x"
+    text = "  Dura-mater, sì!  x\x1cy\u3000z\u2028"
     spans = tk.pretokenize_spans(text)
     assert [w for w, _, _ in spans] == tk.pretokenize(text)
     for word, start, end in spans:
@@ -368,3 +370,131 @@ def test_offsets_unk_word_covers_whole_word(vocab):
     assert seq.ids[-1] == vocab.unk_id
     start, end = offsets[-1]
     assert "casa zzz"[start:end] == "zzz"
+
+
+# -- segmentation and the chunk cache against the encoder they replaced ------
+
+
+def munch_scan(word, vocab):
+    """Oracle: longest match first, each search from the end of the word.
+    Cubic in the word's length, but plainly the definition."""
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        while end > start:
+            sub = ("##" if start else "") + word[start:end]
+            if sub in vocab.ids:
+                break
+            end -= 1
+        if end == start:
+            return None
+        pieces.append(sub)
+        start = end
+    return pieces
+
+
+def encode_scan(text, vocab):
+    """Oracle: encode_with_offsets word by word over the whole normalized
+    text, with words split by a character scan."""
+    norm = tk.normalize(text, vocab.lowercase)
+    words, start = [], None
+    for k, ch in enumerate(norm):
+        split = ch.isspace() or unicodedata.category(ch)[0] in "PS"
+        if split and start is not None:
+            words.append((start, k))
+            start = None
+        if split and not ch.isspace():
+            words.append((k, k + 1))
+        elif not split and start is None:
+            start = k
+    if start is not None:
+        words.append((start, len(norm)))
+    ids, boundaries, offsets = [], [], []
+    for start, end in words:
+        boundaries.append(len(ids))
+        pieces = munch_scan(norm[start:end], vocab)
+        if pieces is None:
+            ids.append(vocab.unk_id)
+            offsets.append((start, end))
+            continue
+        for p in pieces:
+            length = len(p.removeprefix("##"))
+            ids.append(vocab.ids[p])
+            offsets.append((start, start + length))
+            start += length
+    return tk.TokenSequence(ids=tuple(ids), word_boundaries=tuple(boundaries)), tuple(offsets)
+
+
+@st.composite
+def piece_vocabularies(draw):
+    """Vocabularies over "ab", with tokens longer than the specials at times."""
+    pieces = draw(st.lists(st.text(alphabet="ab", min_size=1, max_size=9), max_size=12))
+    tokens = {("##" if cont else "") + p
+              for p, cont in zip(pieces, draw(st.lists(st.booleans(), min_size=len(pieces),
+                                                       max_size=len(pieces))))}
+    return tk.Vocabulary.from_tokens(list(tk.SPECIAL_TOKENS) + sorted(tokens))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(vocab=piece_vocabularies(), word=st.text(alphabet="abc", min_size=1, max_size=24))
+def test_munch_matches_the_scan_oracle(vocab, word):
+    assert vocab.longest == max(len(t) for t in vocab.tokens)
+    assert tk._munch(word, vocab) == munch_scan(word, vocab)
+
+
+def test_a_long_word_encodes_in_linear_time():
+    vocab = tk.Vocabulary.from_tokens(list(tk.SPECIAL_TOKENS) + ["al", "##al", "##a"])
+    started = time.process_time()
+    covered = tk.encode("al" * 50_000, vocab)
+    uncovered = tk.encode("q" * 100_000, vocab)
+    assert time.process_time() - started < 1.0   # the scan took hours on the first
+    assert covered.ids == (vocab.ids["al"],) + (vocab.ids["##al"],) * 49_999
+    assert uncovered.ids == (vocab.unk_id,)
+
+
+# letters (one composes with the combining acute, some only match lowercased),
+# an uncovered letter, punctuation and symbols inside chunks, and every
+# separator str.split honours
+_LETTERS = "lacsoreLAC\u00c9z\u0301.,'!-+\u00a9$"
+_SEPARATORS = "".join(ch for ch in map(chr, range(0x3001)) if ch.isspace())
+_ENCODE_TOKENS = list(tk.SPECIAL_TOKENS) + [
+    "la", "casa", "ross", "##a", "##o", "##s", "c", "\u00e9", "##\u00e9", "r\u00e9", ".", "'",
+    "+", "L", "La"]
+
+
+@st.composite
+def texts_with_repeats(draw):
+    """Texts drawn partly from a small pool of chunks, so chunks repeat within
+    and across texts, and partly free."""
+    pool = draw(st.lists(st.text(alphabet=_LETTERS, min_size=1, max_size=8),
+                         min_size=1, max_size=4))
+    separators = st.text(alphabet=_SEPARATORS, min_size=1, max_size=2)
+    pooled = st.lists(st.tuples(separators, st.sampled_from(pool)), max_size=6).map(
+        lambda parts: "".join(s + c for s, c in parts))
+    free = st.text(alphabet=_LETTERS + _SEPARATORS, max_size=16)
+    return draw(st.lists(pooled | free, max_size=6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(texts=texts_with_repeats(), lowercase=st.booleans())
+def test_encode_all_matches_encode_with_offsets_and_the_scan_oracle(texts, lowercase):
+    vocab = tk.Vocabulary.from_tokens(_ENCODE_TOKENS, lowercase=lowercase)
+    expected = [encode_scan(t, vocab) for t in texts]
+    assert tk.encode_all(texts, vocab) == expected
+    assert [tk.encode_with_offsets(t, vocab) for t in texts] == expected
+    assert tk.encode_all(iter(texts), vocab) == expected
+
+
+def test_encode_all_normalizes_each_text_before_splitting_it():
+    vocab = tk.Vocabulary.from_tokens(_ENCODE_TOKENS)
+    # after a letter the combining acute composes, so both texts cache the
+    # chunk "r\u00e9"; after a separator it starts a word that cannot be covered
+    texts = ["re\u0301 r\u00e9", "r\u00e9 la \u0301la", "la\u3000la\x1cla"]
+    got = tk.encode_all(texts, vocab)
+    assert got == [encode_scan(t, vocab) for t in texts]
+    assert got[0] == ((tk.encode("r\u00e9 r\u00e9", vocab)), ((0, 2), (3, 5)))
+    assert got[0][0].ids == (vocab.ids["r\u00e9"],) * 2
+    assert got[1][0].ids == (vocab.ids["r\u00e9"], vocab.ids["la"], vocab.unk_id)
+    assert got[1][1][-1] == (6, 9)
+    assert got[2][0].ids == (vocab.ids["la"],) * 3
