@@ -43,6 +43,9 @@ class DimensionError(BertlabError):
         self.shapes = shapes
         super().__init__(f"{op}: incompatible shapes {' vs '.join(str(tuple(s)) for s in shapes)}")
 
+    def __reduce__(self):   # pickle replays __init__'s arguments, not the message
+        return type(self), (self.op, *self.shapes), self.__dict__
+
 
 class IntegrityError(BertlabError):
     """Corrupt or truncated checkpoint container."""
@@ -61,7 +64,11 @@ class ValidationError(BertlabError):
         if self.items:
             listing = "\n".join(f"  - {item}" for item in self.items)
             detail = f" ({len(self.items)} offending items):\n{listing}"
+        self.message = message
         super().__init__(message + detail)
+
+    def __reduce__(self):
+        return type(self), (self.message, self.items), self.__dict__
 
 
 def read_text(path, what: str) -> str:

@@ -29,7 +29,7 @@ from .mitigation import llrd_factors
 from .model import ModelState
 # adam_step stays importable from here: perfbench traces and tests that binding
 from .pretrain import _resolve_init, adam_step, pad_rows, train_step  # noqa: F401
-from .seeding import substream
+from .seeding import map_units, substream
 from .tokenizer import (Vocabulary, _is_punct, encode, encode_with_offsets,
                         normalize)
 
@@ -911,8 +911,9 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
                   seeds=(1, 2, 3, 4, 5),
                   model_name: str = "model", baseline: TaskReport = None,
                   checkpoint_dir=None) -> FinetuneResult:
-    """Train and evaluate one task head per seed; report test metrics at the
-    dev-best epoch with mean/sample-sd across seeds."""
+    """Train and evaluate one task head per seed, the seeds spread over the
+    CPUs by `map_units`; report test metrics at the dev-best epoch with
+    mean/sample-sd across seeds. Checkpoints are written here, in seed order."""
     plan = plan or FinetunePlan()
     if not seeds:
         raise ConfigurationError("seed list is empty")
@@ -923,8 +924,9 @@ def finetune_task(init, dataset: TaskDataset, plan: FinetunePlan = None,
     runner = _TaskRunner(dataset, init, plan)
 
     runs, states, paths = [], [], []
-    for seed in seeds:
-        run, params = _finetune_one_seed(runner, init.params, plan, seed)
+    trained = map_units(lambda seed: _finetune_one_seed(runner, init.params, plan, seed),
+                        seeds)
+    for seed, (run, params) in zip(seeds, trained):
         seed_state = ModelState(config=init.config, params=params, vocab=init.vocab,
                                 lineage=lineage)
         runs.append(run)

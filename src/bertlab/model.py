@@ -17,7 +17,9 @@ linear, gelu and linear, and add_norm; each dropout adds one. The fused ops
 give the same bits as the unfused graph they replace.
 """
 
-from dataclasses import dataclass, field
+import math
+import mmap
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -154,9 +156,24 @@ def param_shapes(config: ModelConfig) -> dict:
     return shapes
 
 
+def param_count(config: ModelConfig) -> int:
+    """Scalars in the base model, counted without listing every layer."""
+    one = param_shapes(replace(config, n_layers=1))
+    layer = sum(math.prod(s) for path, s in one.items() if path.startswith("encoder."))
+    return sum(map(math.prod, one.values())) + (config.n_layers - 1) * layer
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator) -> dict:
     """Fresh parameter dict: truncated-normal weights (std 0.02), zero biases,
-    unit norm gains, drawn in param_shapes order."""
+    unit norm gains, drawn in param_shapes order. ConfigurationError when the
+    float64 bytes of the parameter count cannot be mapped: the trial goes to
+    the kernel directly, so malloc's thresholds do not move."""
+    count = param_count(config)
+    try:
+        mmap.mmap(-1, 8 * count).close()
+    except (OSError, OverflowError) as exc:   # OverflowError: past the address width
+        raise ConfigurationError(f"model too large to build: {count} parameters "
+                                 f"({type(exc).__name__}: {exc})") from None
     p = {}
     for path, shape in param_shapes(config).items():
         if path.endswith(".gain"):

@@ -131,13 +131,27 @@ def _merge_spelling(left: str, right: str) -> str:
     return left + right[2:]
 
 
+def word_counts(corpus, lowercase: bool = False) -> Counter:
+    """Occurrences of each pretokenized word of the lines, in order of first
+    appearance. The whitespace chunks are counted first and each distinct
+    chunk is split once: a word first appears in the first occurrence of the
+    first chunk that holds it, so counts and order are those of splitting
+    every line."""
+    chunk_freq = Counter()
+    for line in corpus:
+        chunk_freq.update(normalize(line, lowercase).split())
+    word_freq = Counter()
+    for chunk, freq in chunk_freq.items():
+        for word, _, _ in _chunk_words(chunk):
+            word_freq[word] += freq
+    return word_freq
+
+
 def train_vocab(corpus, size: int, min_freq: int = 1, lowercase: bool = False) -> Vocabulary:
     """Induce a WordPiece vocabulary of at most `size` tokens from an iterable
     of text lines. Words occurring fewer than min_freq times are ignored."""
-    word_freq = Counter()
-    for line in corpus:
-        word_freq.update(pretokenize(normalize(line, lowercase)))
-    words = [(list(_word_pieces(w)), f) for w, f in word_freq.items() if f >= min_freq]
+    words = [(list(_word_pieces(w)), f)
+             for w, f in word_counts(corpus, lowercase).items() if f >= min_freq]
     if not words:
         raise InputError("vocabulary training corpus is empty")
 

@@ -5,6 +5,9 @@ exit codes per fault class, and bit-identical re-runs."""
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -334,6 +337,64 @@ def test_overflowing_evaluation_is_a_numeric_fault(pipeline, tmp_path, capsys):
                        "--out", str(out), "--checkpoint", pipeline["adapted_ckpt"]]) == 4
     assert "re: non-finite evaluation logits" in capsys.readouterr().err
     assert not (out / "report.re.txt").exists()
+
+
+ADDRESS_SPACE = 1 << 30   # bytes: the limit of the process below
+TOO_LARGE = [(field, value) for field in ("hidden_dim", "ff_dim", "max_seq_len", "n_layers")
+             for value in (2 ** 63, 10 ** 12)]
+# runs `pretrain` on each config named in argv[1]; prints (exit code, stderr) per run
+PRETRAIN_EACH = """
+import contextlib, io, json, sys
+from bertlab.cli import entrypoint
+results = []
+for config, out in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = entrypoint(["pretrain", "--config", config, "--out", out])
+    except Exception as exc:
+        code = repr(exc)
+    results.append((code, err.getvalue()))
+print(json.dumps(results))
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.fixture(scope="module")
+def too_large_runs(pipeline, tmp_path_factory):
+    """{(field, value): (exit code, stderr, out dir)} of `pretrain` with that
+    model size, all run in one child process held to ADDRESS_SPACE, so a
+    regression that tries to build the model fails fast instead of taking
+    the machine's memory."""
+    base = tmp_path_factory.mktemp("too-large")
+    runs = []
+    for field, value in TOO_LARGE:
+        cfg = json.loads(json.dumps(pipeline["cfg"]))
+        cfg["model"][field] = value
+        name = f"{field}-{value}"
+        runs.append((save_config(base / f"{name}.json", cfg), str(base / name)))
+    src = os.path.dirname(os.path.dirname(ft.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", PRETRAIN_EACH, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {case: (code, err, out)
+            for case, (code, err), (_, out) in zip(TOO_LARGE, results, runs)}
+
+
+@pytest.mark.parametrize("field, value", TOO_LARGE,
+                         ids=[f"{f}-{'2^63' if v == 2 ** 63 else '10^12'}" for f, v in TOO_LARGE])
+def test_model_too_large_to_build_is_configuration_error(too_large_runs, field, value):
+    # these once exited 1: numpy's TypeError at 2^63, a MemoryError at 10^12
+    code, err, out = too_large_runs[field, value]
+    assert code == 3, err or code
+    assert err.startswith("error: model too large to build"), err
+    assert not os.path.exists(os.path.join(out, "checkpoint.ckpt"))
 
 
 @pytest.mark.parametrize("key, value", [

@@ -5,12 +5,14 @@ helpers, and every artifact is written to a temp file renamed into place."""
 import ast
 import dataclasses
 import pathlib
+import pickle
 import sys
 
 import pytest
 
 from bertlab import cli
 from bertlab import dataport as dp
+from bertlab import errors
 from bertlab import finetune as ft
 from bertlab import mitigation as mit
 from bertlab import mlmeval as ev
@@ -233,3 +235,31 @@ def test_record_values_pass_unconverted():
     assert type(plan.peak_lr) is int and type(plan.cf.mixout_p) is int
     assert plan.cf.llrd_decay is None
     assert plan.to_dict()["cf"]["mixout_p"] == 0
+
+
+# one instance of every error class, as a fine-tuning seed in a worker
+# process might raise it, and the fields its class adds
+ERRORS = {
+    "BertlabError": (errors.BertlabError("plain"), ()),
+    "InputError": (errors.InputError("cannot read corpus"), ()),
+    "ConfigurationError": (errors.ConfigurationError("seed list is empty"), ()),
+    "NumericFault": (errors.NumericFault("non-finite loss"), ()),
+    "DimensionError": (errors.DimensionError("matmul", (2, 3), (4, 5)), ("op", "shapes")),
+    "IntegrityError": (errors.IntegrityError("truncated checkpoint"), ()),
+    "ValidationError": (errors.ValidationError("bad records", ["line 2", "line 5"]), ("items",)),
+}
+
+
+def _error_classes(cls=errors.BertlabError):
+    return [cls] + [c for sub in cls.__subclasses__() for c in _error_classes(sub)]
+
+
+def test_every_error_survives_pickling():
+    assert sorted(ERRORS) == sorted(c.__name__ for c in _error_classes())
+    for name, (exc, fields) in ERRORS.items():
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc), name
+        assert str(back) == str(exc), name
+        assert back.exit_code == exc.exit_code, name
+        for field in fields:
+            assert getattr(back, field) == getattr(exc, field), (name, field)

@@ -3,6 +3,7 @@ format round-trips, featurization layouts, and the five-seed protocol."""
 
 import json
 import math
+import os
 import weakref
 from collections import Counter
 
@@ -766,6 +767,25 @@ def test_per_seed_checkpoints(state, ner_dataset, tmp_path):
     assert np.array_equal(loaded.params["heads.ner.weight"].data,
                           result.states[0].params["heads.ner.weight"].data)
     assert loaded.lineage == ()   # fresh state has no ancestry
+
+
+def test_seeds_in_processes_give_the_bytes_of_seeds_in_turn(monkeypatch, state, ner_dataset,
+                                                             tmp_path):
+    plan = ft.FinetunePlan(epochs=2, **QUICK)
+    results = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(ad, "_cpu_count", lambda cpus=cpus: cpus)
+        results[cpus] = ft.finetune_task(state, ner_dataset, plan, seeds=(1, 2, 3),
+                                         checkpoint_dir=tmp_path / f"cpus{cpus}")
+    one, two = results[1], results[2]
+    assert one.report == two.report
+    for a, b in zip(one.states, two.states):
+        assert_same_state(a, b)
+    assert [os.path.basename(p) for p in one.checkpoint_paths] == [
+        f"ner.seed{seed}.ckpt" for seed in (1, 2, 3)]
+    for a, b in zip(one.checkpoint_paths, two.checkpoint_paths):
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 def test_finetune_from_checkpoint_lineage(state, ner_dataset, tmp_path):

@@ -67,12 +67,18 @@ def test_vocabulary_invariants():
 # -- the heap trainer against the scan it replaced ---------------------------
 
 
-def train_vocab_scan(corpus, size, min_freq=1, lowercase=False):
-    """Oracle: the trainer that rescans every live pair for the best merge.
-    Slow (merges x pairs) but plainly the definition of the merge order."""
+def word_counts_scan(corpus, lowercase=False):
+    """Oracle: the trainer's word count that split every line."""
     word_freq = Counter()
     for line in corpus:
         word_freq.update(tk.pretokenize(tk.normalize(line, lowercase)))
+    return word_freq
+
+
+def train_vocab_scan(corpus, size, min_freq=1, lowercase=False):
+    """Oracle: the trainer that rescans every live pair for the best merge.
+    Slow (merges x pairs) but plainly the definition of the merge order."""
+    word_freq = word_counts_scan(corpus, lowercase)
     words = [(list(tk._word_pieces(w)), f) for w, f in word_freq.items() if f >= min_freq]
     if not words:
         raise InputError("vocabulary training corpus is empty")
@@ -484,6 +490,22 @@ def test_encode_all_matches_encode_with_offsets_and_the_scan_oracle(texts, lower
     assert tk.encode_all(texts, vocab) == expected
     assert [tk.encode_with_offsets(t, vocab) for t in texts] == expected
     assert tk.encode_all(iter(texts), vocab) == expected
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lines=texts_with_repeats(), lowercase=st.booleans())
+def test_word_counts_split_each_distinct_chunk_once_with_the_same_counts_and_order(
+        lines, lowercase):
+    expected = list(word_counts_scan(lines, lowercase).items())
+    split, whole = [], tk._chunk_words
+    tk._chunk_words = lambda chunk: split.append(chunk) or whole(chunk)
+    try:
+        got = list(tk.word_counts(lines, lowercase).items())
+    finally:
+        tk._chunk_words = whole
+    assert got == expected
+    assert sorted(split) == sorted(set(split))
+    assert set(split) == {c for line in lines for c in tk.normalize(line, lowercase).split()}
 
 
 def test_encode_all_normalizes_each_text_before_splitting_it():
