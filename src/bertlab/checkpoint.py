@@ -24,6 +24,7 @@ import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -190,17 +191,30 @@ def load_checkpoint(path, expect_vocab: Vocabulary = None) -> md.ModelState:
         _fail(_HEADER_START, f"invalid config record ({exc})")
     if state.fingerprint != header.get("vocab_fingerprint"):
         _fail(_HEADER_START, "stored fingerprint does not match stored tokens")
-    # a missing tensor still loads, so verify_lineage can report it
-    needed = md.param_shapes(state.config)
+    # a missing tensor still loads, so verify_lineage can report it; the
+    # shapes of one layer stand for every layer, so the check costs what the
+    # stored tensors do, whatever n_layers the header claims
+    one = md.param_shapes(replace(state.config, n_layers=1))
     for p, tensor in params.items():
-        if p in needed and tensor.shape != needed[p]:
+        needed = one.get(md.layer_zero_path(p, state.config.n_layers))
+        if needed is not None and tensor.shape != needed:
             _fail(_HEADER_START, f"tensor {p} has shape {list(tensor.shape)} but the "
-                                 f"config needs {list(needed[p])}")
+                                 f"config needs {list(needed)}")
     if expect_vocab is not None and expect_vocab.fingerprint != state.fingerprint:
         raise ConfigurationError(
             "checkpoint was trained with a different vocabulary: "
             f"{state.fingerprint[:12]}… vs bound {expect_vocab.fingerprint[:12]}…")
     return state
+
+
+def require_complete(state: md.ModelState, path) -> None:
+    """IntegrityError naming the base-model tensors that the state's config
+    needs and its checkpoint lacks: such a model loads but cannot run."""
+    count, named = md.missing_params(state.params, state.config)
+    if count:
+        more = f" and {count - len(named)} more" if count > len(named) else ""
+        raise IntegrityError(f"checkpoint {path} lacks {count} tensors its config "
+                             f"needs: {', '.join(named)}{more}")
 
 
 def _is_count(x) -> bool:

@@ -189,6 +189,14 @@ def cmd_vocab_train(cfg: dict, log: RunLog, out: str) -> int:
     return 0
 
 
+def _load_model(path) -> md.ModelState:
+    """The checkpoint at path, for a command that runs its model: one that
+    lacks a tensor its config needs is refused before any work."""
+    state = ckpt.load_checkpoint(path)
+    ckpt.require_complete(state, path)
+    return state
+
+
 def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     # a single config can drive the whole chain: `adapt` prefers its own
     # section (domain corpus, its own schedule, its own cf), falling back
@@ -206,7 +214,7 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
     if command == "adapt":
         parent_path = _require_file(_require(cfg, "parent", "adapt"),
                                     "parent checkpoint")
-        parent = ckpt.load_checkpoint(parent_path)
+        parent = _load_model(parent_path)
         vocab = parent.vocab
         # adaptation warm-starts the weights only: a fresh schedule with the
         # parent's stale Adam moments would mis-apply bias correction
@@ -249,7 +257,7 @@ def _run_training(cfg: dict, log: RunLog, out: str, command: str) -> int:
 
 def cmd_eval_mlm(cfg: dict, log: RunLog, out: str) -> int:
     path = _require_file(_require(cfg, "checkpoint", "eval-mlm"), "checkpoint")
-    loaded = ckpt.load_checkpoint(path)
+    loaded = _load_model(path)
     scorer = mlmeval.ModelScorer(loaded.params, loaded.config)
     section = _section(cfg, "eval")
     if not section.get("sentences") and not section.get("masked_set"):
@@ -303,7 +311,7 @@ def _load_task_dataset(task: str, spec: dict, seed: int) -> ft.TaskDataset:
 
 def cmd_finetune(cfg: dict, log: RunLog, out: str) -> int:
     path = _require_file(_require(cfg, "checkpoint", "finetune"), "checkpoint")
-    loaded = ckpt.load_checkpoint(path)
+    loaded = _load_model(path)
     tasks = _section(cfg, "tasks")
     if not tasks:
         raise ConfigurationError("finetune requires a 'tasks' section")

@@ -9,8 +9,12 @@ single vocabulary token cannot be ranked against a token list and are
 excluded and reported, never silently dropped.
 
 Scorers are callables log_probs = scorer(input_ids, attention_mask,
-positions) returning one log-probability row per masked position, which
-keeps the metrics testable against hand-built distributions.
+positions): ids and mask (..., W) and positions (...) name one masked
+position per row, and log_probs (..., V) holds the full log-probability row
+at each, which keeps the metrics testable against hand-built distributions.
+A 2-D call scores n rows. `pppl` and `mrr_top5` stack the rows of several
+sentences or items of one width as (k, n, W), at most max_seq_len - 2 rows
+per call, the most one sentence's maskings fill.
 """
 
 import math
@@ -30,12 +34,18 @@ EXCLUDED_NOT_SINGLE_TOKEN = "target_is_not_a_single_vocabulary_token"
 class ModelScorer:
     """Bound model evaluated in inference mode.
 
-    The encoder runs over chunks of at most chunk_size rows, shared among
-    `autodiff.workers` threads (one per CPU this process may run on, the
-    caller among them) with OpenBLAS held to one thread while they run;
-    without numpy's bundled OpenBLAS one worker does it all. The MLM head
-    then decodes every scored row of the call at once, so the
-    log-probabilities depend on neither the chunk size nor the worker count.
+    The encoder runs over the call's rows, leading dimensions flattened, in
+    chunks shared among `autodiff.workers` threads (one per CPU this process
+    may run on, the caller among them) with OpenBLAS held to one thread
+    while they run; without numpy's bundled OpenBLAS one worker does it all.
+    A chunk holds at least chunk_size rows and at least
+    `autodiff._SPLIT_MIN` hidden-state elements (rows x W x H), so a call
+    with less work than that runs whole in the calling thread and starts no
+    helper. The MLM head then decodes the scored rows in one call, stacked
+    as (..., H): numpy runs a 3-D product as one product per leading index,
+    so a (k, n, W) call gives the bits of k (n, W) calls (a flattened
+    (k * n, H) product would not). The log-probabilities depend on neither
+    the chunk size nor the worker count.
     Called on its own, the head runs with OpenBLAS's thread count restored;
     called inside a `workers` context whose helpers have started (held-out
     PPPL during desk pretraining), on one OpenBLAS thread, which gives the
@@ -53,30 +63,40 @@ class ModelScorer:
         input_ids = np.asarray(input_ids)
         attention_mask = np.asarray(attention_mask)
         positions = np.asarray(positions)
-        if input_ids.ndim != 2 or positions.shape != input_ids.shape[:1]:
+        if input_ids.ndim < 2 or positions.shape != input_ids.shape[:-1]:
             raise ConfigurationError(
                 f"positions {positions.shape} must hold one entry per row of ids "
                 f"{input_ids.shape}")
+        if attention_mask.shape != input_ids.shape:
+            raise ConfigurationError(
+                f"attention mask {attention_mask.shape} must match ids {input_ids.shape}")
         if not np.issubdtype(positions.dtype, np.integer):
             raise ConfigurationError(f"positions must be integers, got {positions.dtype}")
-        length = input_ids.shape[1]
+        length = input_ids.shape[-1]
         outside = positions[(positions < 0) | (positions >= length)]
         if outside.size:
             raise ConfigurationError(f"position {int(outside[0])} outside [0, {length})")
+        lead = positions.shape
+        input_ids = input_ids.reshape(-1, length)
+        attention_mask = attention_mask.reshape(-1, length)
+        positions = positions.reshape(-1)
+        row_elements = max(1, length * self.config.hidden_dim)
+        chunk = max(self.chunk_size, -(-ad._SPLIT_MIN // row_elements))
 
         def encode(lo):
             # the hidden state of the one scored row of each sequence
-            hi = lo + self.chunk_size
+            hi = lo + chunk
             ids = input_ids[lo:hi]
             hidden = md.forward_encoder(self.params, self.config, ids,
                                         np.zeros_like(ids), attention_mask[lo:hi])
             flat = np.arange(len(ids)) * length + positions[lo:hi]
             return md.gather_rows(hidden, flat).data
 
-        starts = range(0, len(input_ids), self.chunk_size)
+        starts = range(0, len(input_ids), chunk)
         with ad.no_grad():
             with ad.workers(len(starts)):
                 rows = np.concatenate(ad.share(encode, starts))
+            rows = rows.reshape(lead + rows.shape[-1:])
             with ad.precision(rows.dtype):  # a Tensor takes the default dtype
                 logits = md.mlm_logits(ad.Tensor(rows), self.params, self.config)
         picked = logits.data.astype(np.float64)
@@ -84,9 +104,34 @@ class ModelScorer:
         return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _valid(lp: np.ndarray) -> bool:
+    return bool(np.isfinite(lp).all() and lp.max() <= 1e-9)
+
+
 def _check_log_probs(lp: np.ndarray) -> None:
-    if not np.isfinite(lp).all() or lp.max() > 1e-9:
+    if not _valid(lp):
         raise NumericFault("scorer returned invalid log-probabilities")
+
+
+def _stacks(widths, per_call):
+    """Index lists for stacked scorer calls, from (index, width) pairs: the
+    indices of one width in order, at most per_call(width) to a list, the
+    widths in order of first appearance."""
+    groups = {}
+    for i, width in widths:
+        groups.setdefault(width, []).append(i)
+    for width, members in groups.items():
+        step = per_call(width)
+        for lo in range(0, len(members), step):
+            yield members[lo:lo + step]
+
+
+def _score(scorer, batch: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    lp = scorer(batch, np.ones_like(batch), positions)
+    if lp.shape[:-1] != positions.shape:
+        raise ConfigurationError(
+            f"scorer returned log-probabilities {lp.shape} for positions {positions.shape}")
+    return lp
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +157,39 @@ def _sentence_variants(ids, vocab: Vocabulary):
 
 
 def pppl(scorer, sentences, vocab: Vocabulary, max_seq_len: int) -> PpplResult:
-    """exp(-(1/N) sum over all maskings of log p(token | rest of sentence))."""
+    """exp(-(1/N) sum over all maskings of log p(token | rest of sentence)).
+
+    The sentences before the first one too long to score are scored in
+    stacked calls, sentences of n pieces (k, n, n + 2) at a time; then they
+    are walked in corpus order, so the first fault in that order is raised."""
+    encoded = [seq.ids for seq, _ in encode_all(sentences, vocab)]
+    limit = max_seq_len - 2
+    too_long = next((i for i, ids in enumerate(encoded) if ids and len(ids) > limit),
+                    len(encoded))
+    picked = {}   # sentence index -> log p of each of its tokens, None if invalid
+    for group in _stacks(((i, len(encoded[i])) for i in range(too_long) if encoded[i]),
+                         lambda n: limit // n):
+        n = len(encoded[group[0]])
+        base = np.array([[vocab.cls_id, *encoded[i], vocab.sep_id] for i in group])
+        batch = np.repeat(base[:, None], n, axis=1)
+        positions = np.tile(1 + np.arange(n), (len(group), 1))
+        batch[:, np.arange(n), positions[0]] = vocab.mask_id
+        lp = _score(scorer, batch, positions)
+        for i, rows, targets in zip(group, lp, base[:, 1:-1]):
+            picked[i] = rows[np.arange(n), targets] if _valid(rows) else None
     all_logs = []
     per_sentence = []
-    for idx, (seq, _) in enumerate(encode_all(sentences, vocab)):
-        ids = seq.ids
+    for idx, ids in enumerate(encoded):
         if not ids:
             continue
-        if len(ids) + 2 > max_seq_len:
+        if idx == too_long:
             raise InputError(
-                f"sentence {idx} has {len(ids)} pieces; limit is {max_seq_len - 2} "
+                f"sentence {idx} has {len(ids)} pieces; limit is {limit} "
                 f"(split long sentences upstream)")
-        batch, positions, targets = _sentence_variants(ids, vocab)
-        lp = scorer(batch, np.ones_like(batch), positions)
-        _check_log_probs(lp)
-        picked = lp[np.arange(len(targets)), targets]
-        all_logs.extend(picked.tolist())
-        per_sentence.append((len(targets), -math.fsum(picked) / len(targets)))
+        if picked[idx] is None:
+            raise NumericFault("scorer returned invalid log-probabilities")
+        all_logs.extend(picked[idx].tolist())
+        per_sentence.append((len(ids), -math.fsum(picked[idx]) / len(ids)))
     if not all_logs:
         raise InputError("evaluation corpus contains no scorable tokens")
     value = math.exp(-math.fsum(all_logs) / len(all_logs))
@@ -241,31 +302,55 @@ def _single_token_id(answer: str, vocab: Vocabulary):
     return vocab.ids.get(normalize(answer, vocab.lowercase))
 
 
+def _rank(row: np.ndarray, target: int, vocab: Vocabulary) -> tuple:
+    """(rank of target among the five most probable tokens, 0 if absent;
+    those five as (token, probability))."""
+    order = np.lexsort((np.arange(len(row)), -row))[:5]
+    top5 = [(vocab.tokens[i], float(math.exp(row[i]))) for i in order]
+    where = np.nonzero(order == target)[0]
+    return (int(where[0]) + 1 if len(where) else 0), top5
+
+
 def mrr_top5(scorer, items, vocab: Vocabulary, max_seq_len: int) -> MrrResult:
     """Mean over maskings of 1/rank within the model's top five, 0 when absent.
-    Ties in probability break toward the lower token id."""
-    rankings = []
-    excluded = []
-    for item in items:
-        target = _single_token_id(item.answer, vocab)
-        if target is None:
-            excluded.append((item, EXCLUDED_NOT_SINGLE_TOKEN))
+    Ties in probability break toward the lower token id.
+
+    The items before the first one too long to score are scored in stacked
+    calls, items of width W (k, 1, W) at a time; then they are walked in
+    order, so the first fault in that order is raised."""
+    targets, rows, positions = {}, {}, {}
+    too_long = len(items)
+    for i, item in enumerate(items):
+        targets[i] = _single_token_id(item.answer, vocab)
+        if targets[i] is None:
             continue
         prefix = encode(item.text[:item.start], vocab).ids
         suffix = encode(item.text[item.end:], vocab).ids
-        ids = np.array([[vocab.cls_id, *prefix, vocab.mask_id, *suffix, vocab.sep_id]])
-        if ids.shape[1] > max_seq_len:
+        rows[i] = [vocab.cls_id, *prefix, vocab.mask_id, *suffix, vocab.sep_id]
+        positions[i] = 1 + len(prefix)
+        if len(rows[i]) > max_seq_len:
+            too_long = i
+            break
+    ranked = {}   # item index -> (rank, top5), None if its log-probs are invalid
+    for group in _stacks(((i, len(rows[i])) for i in rows if i < too_long),
+                         lambda width: max_seq_len - 2):
+        lp = _score(scorer, np.array([[rows[i]] for i in group]),
+                    np.array([[positions[i]] for i in group]))
+        for i, (row,) in zip(group, lp):
+            ranked[i] = _rank(row, targets[i], vocab) if _valid(row) else None
+    rankings = []
+    excluded = []
+    for i, item in enumerate(items):
+        if targets[i] is None:
+            excluded.append((item, EXCLUDED_NOT_SINGLE_TOKEN))
+            continue
+        if i == too_long:
             raise InputError(f"item {item.source_id} exceeds max_seq_len {max_seq_len}")
-        position = np.array([1 + len(prefix)])
-        lp = scorer(ids, np.ones_like(ids), position)
-        _check_log_probs(lp)
-        row = lp[0]
-        order = np.lexsort((np.arange(len(row)), -row))[:5]
-        top5 = [(vocab.tokens[i], float(math.exp(row[i]))) for i in order]
-        where = np.nonzero(order == target)[0]
-        rank = int(where[0]) + 1 if len(where) else 0
-        score = 1.0 / rank if rank else 0.0
-        rankings.append(ItemRanking(item=item, rank=rank, top5=top5, score=score))
+        if ranked[i] is None:
+            raise NumericFault("scorer returned invalid log-probabilities")
+        rank, top5 = ranked[i]
+        rankings.append(ItemRanking(item=item, rank=rank, top5=top5,
+                                    score=1.0 / rank if rank else 0.0))
     if not rankings:
         raise InputError("no scorable items: every target failed the single-token rule")
     value = math.fsum(r.score for r in rankings) / len(rankings)

@@ -17,8 +17,10 @@ linear, gelu and linear, and add_norm; each dropout adds one. The fused ops
 give the same bits as the unfused graph they replace.
 """
 
+import itertools
 import math
 import mmap
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -32,6 +34,7 @@ from .tokenizer import Vocabulary
 INIT_STD = 0.02
 LAYER_NORM_EPS = 1e-12
 MASK_BIAS = -1e9
+_LAYER_PATH = re.compile(r"encoder\.(0|[1-9][0-9]*)\.")
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,37 @@ def param_count(config: ModelConfig) -> int:
     one = param_shapes(replace(config, n_layers=1))
     layer = sum(math.prod(s) for path, s in one.items() if path.startswith("encoder."))
     return sum(map(math.prod, one.values())) + (config.n_layers - 1) * layer
+
+
+def layer_zero_path(path: str, n_layers: int):
+    """The path of a one-layer config's param_shapes that stands for path in
+    an n_layers config: encoder.i.rest is encoder.0.rest for i < n_layers
+    and None past the last layer; any other path stands for itself."""
+    m = _LAYER_PATH.match(path)
+    if m is None:
+        return path
+    i = m.group(1)   # compared as text first: a header may hold any digits
+    if len(i) > len(str(n_layers)) or int(i) >= n_layers:
+        return None
+    return "encoder.0." + path[m.end():]
+
+
+def missing_params(params: dict, config: ModelConfig, limit: int = 8) -> tuple:
+    """(how many, the first `limit` in param_shapes order) of the base-model
+    paths config needs that params lacks, found from the shapes of one layer,
+    so the cost follows len(params) and limit, not n_layers."""
+    one = param_shapes(replace(config, n_layers=1))
+    paths = list(one)
+    start = next(i for i, p in enumerate(paths) if p.startswith("encoder."))
+    layer = [p[len("encoder.0."):] for p in paths if p.startswith("encoder.")]
+    present = sum(layer_zero_path(p, config.n_layers) in one for p in params)
+    count = len(one) + (config.n_layers - 1) * len(layer) - present
+    needed = itertools.chain(
+        paths[:start],
+        (f"encoder.{i}.{rest}" for i in range(config.n_layers) for rest in layer),
+        paths[start + len(layer):])
+    return count, list(itertools.islice((p for p in needed if p not in params),
+                                        min(count, limit)))
 
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> dict:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import synthdata as sd
+from scorers import rowwise
 from statecheck import assert_same_state
 from bertlab import autodiff as ad
 from bertlab import checkpoint as ckpt
@@ -173,7 +174,7 @@ def test_criterion_02_metric_oracles():
     assert fast.value == pytest.approx(slow.value, rel=1e-6)
 
     preferred = [words[i] for i in range(5)]
-    rigged = RiggedScorer(vocab, preferred)
+    rigged = rowwise(RiggedScorer(vocab, preferred))
 
     def one_item(answer):
         item = ev.MaskedEvalItem(source_id="s", text="a10 a11 a12",

@@ -342,16 +342,17 @@ def test_overflowing_evaluation_is_a_numeric_fault(pipeline, tmp_path, capsys):
 ADDRESS_SPACE = 1 << 30   # bytes: the limit of the process below
 TOO_LARGE = [(field, value) for field in ("hidden_dim", "ff_dim", "max_seq_len", "n_layers")
              for value in (2 ** 63, 10 ** 12)]
-# runs `pretrain` on each config named in argv[1]; prints (exit code, stderr) per run
-PRETRAIN_EACH = """
+# runs the command line on each argv list in argv[1]; prints (exit code,
+# stderr) per run
+ENTRYPOINT_EACH = """
 import contextlib, io, json, sys
 from bertlab.cli import entrypoint
 results = []
-for config, out in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[1]):
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
-            code = entrypoint(["pretrain", "--config", config, "--out", out])
+            code = entrypoint(argv)
     except Exception as exc:
         code = repr(exc)
     results.append((code, err.getvalue()))
@@ -363,12 +364,23 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
+def entrypoint_each_limited(argvs) -> list:
+    """[(exit code, stderr)] of the command line on each argv, all run in one
+    child process held to ADDRESS_SPACE, so a regression that tries to build
+    a huge model fails fast instead of taking the machine's memory."""
+    src = os.path.dirname(os.path.dirname(ft.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENTRYPOINT_EACH, json.dumps(argvs)],
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 @pytest.fixture(scope="module")
 def too_large_runs(pipeline, tmp_path_factory):
     """{(field, value): (exit code, stderr, out dir)} of `pretrain` with that
-    model size, all run in one child process held to ADDRESS_SPACE, so a
-    regression that tries to build the model fails fast instead of taking
-    the machine's memory."""
+    model size, all run by `entrypoint_each_limited`."""
     base = tmp_path_factory.mktemp("too-large")
     runs = []
     for field, value in TOO_LARGE:
@@ -376,13 +388,8 @@ def too_large_runs(pipeline, tmp_path_factory):
         cfg["model"][field] = value
         name = f"{field}-{value}"
         runs.append((save_config(base / f"{name}.json", cfg), str(base / name)))
-    src = os.path.dirname(os.path.dirname(ft.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", PRETRAIN_EACH, json.dumps(runs)],
-        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
-        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout.strip().splitlines()[-1])
+    results = entrypoint_each_limited([["pretrain", "--config", config, "--out", out]
+                                       for config, out in runs])
     return {case: (code, err, out)
             for case, (code, err), (_, out) in zip(TOO_LARGE, results, runs)}
 
@@ -395,6 +402,70 @@ def test_model_too_large_to_build_is_configuration_error(too_large_runs, field, 
     assert code == 3, err or code
     assert err.startswith("error: model too large to build"), err
     assert not os.path.exists(os.path.join(out, "checkpoint.ckpt"))
+
+
+def claim_layers(src, dst, n_layers) -> str:
+    """dst, a copy of checkpoint src whose header claims n_layers layers."""
+    data = open(src, "rb").read()
+    hlen = int.from_bytes(data[12:16], "little")
+    header = json.loads(data[16:16 + hlen])
+    header["config"]["n_layers"] = n_layers
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(dst, "wb") as fh:
+        fh.write(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + hlen:])
+    return str(dst)
+
+
+# the commands that run a model, and a file each writes once it has run
+ARTIFACTS = {"eval-mlm": "report.json", "adapt": "metrics.jsonl",
+             "finetune": "report.re.json"}
+MODEL_COMMANDS = tuple(ARTIFACTS)
+
+
+def model_command(pipeline, base, command, checkpoint) -> list:
+    """argv of command over checkpoint, writing under base."""
+    cfg = json.loads(json.dumps(pipeline["cfg"]))
+    cfg["tasks"] = {"re": {"data": write_re(base / "re.jsonl")}}
+    cfg["finetune"] = {"epochs": 1, "seeds": [1], "max_seq_len": 32}
+    cfg_path = save_config(base / "run.json", cfg)
+    if command == "inspect":
+        return ["inspect", "--checkpoint", checkpoint]
+    return [command, "--config", cfg_path, "--out", str(base / command),
+            "--parent" if command == "adapt" else "--checkpoint", checkpoint]
+
+
+@pytest.mark.parametrize("command", MODEL_COMMANDS)
+def test_model_missing_a_tensor_its_config_needs_is_integrity_error(
+        pipeline, tmp_path, capsys, command):
+    # these once exited 1 with a raw KeyError from the forward pass
+    checkpoint = claim_layers(pipeline["base_ckpt"], tmp_path / "short.ckpt", 3)
+    assert entrypoint(model_command(pipeline, tmp_path, command, checkpoint)) == 5
+    err = capsys.readouterr().err
+    assert "lacks 16 tensors its config needs: encoder.2.attention.q.weight" in err, err
+    assert not (tmp_path / command / ARTIFACTS[command]).exists()
+
+
+def test_inspect_still_loads_a_model_missing_a_tensor(pipeline, tmp_path, capsys):
+    checkpoint = claim_layers(pipeline["base_ckpt"], tmp_path / "short.ckpt", 3)
+    assert entrypoint(["inspect", "--checkpoint", checkpoint]) == 0
+    assert "n_layers=3" in capsys.readouterr().out
+
+
+def test_header_claiming_huge_n_layers_costs_what_the_stored_tensors_do(pipeline, tmp_path):
+    # at 10^6 loading once took seconds and ended in a MemoryError under
+    # ADDRESS_SPACE; at 10^12 it grew memory without bound
+    commands = ("inspect",) + MODEL_COMMANDS
+    cases = [(n_layers, command) for n_layers in (10 ** 6, 10 ** 12) for command in commands]
+    results = entrypoint_each_limited([model_command(
+        pipeline, tmp_path, command,
+        claim_layers(pipeline["base_ckpt"], tmp_path / f"{n_layers}.ckpt", n_layers))
+        for n_layers, command in cases])
+    for (n_layers, command), (code, err) in zip(cases, results):
+        if command == "inspect":
+            assert code == 0, err
+        else:
+            assert code == 5, err
+            assert f"lacks {16 * n_layers - 32} tensors its config needs" in err
 
 
 @pytest.mark.parametrize("key, value", [

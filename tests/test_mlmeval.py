@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bertlab import autodiff as ad
 from bertlab import finetune as ft
@@ -16,6 +18,7 @@ from bertlab import model as md
 from bertlab import tokenizer as tk
 from bertlab.errors import ConfigurationError, InputError, NumericFault, ValidationError
 from bertlab.seeding import substream
+from scorers import rowwise
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
@@ -34,7 +37,7 @@ def table_scorer(vocab, fn):
             for tok, p in fn(tuple(row), int(pos)).items():
                 out[i, tok] = math.log(p)
         return out
-    return scorer
+    return rowwise(scorer)
 
 
 # -- pseudo-perplexity ------------------------------------------------------
@@ -71,7 +74,7 @@ def test_pppl_uniform_vocab_100():
     def scorer(input_ids, attention_mask, positions):
         return np.full((len(input_ids), 100), math.log(1.0 / 100.0))
 
-    result = ev.pppl(scorer, ["t0 t1 t2 t3"], vocab, max_seq_len=16)
+    result = ev.pppl(rowwise(scorer), ["t0 t1 t2 t3"], vocab, max_seq_len=16)
     assert result.value == pytest.approx(100.0, rel=1e-12)
 
 
@@ -79,7 +82,7 @@ def test_pppl_counts_all_scored_tokens(vocab):
     def scorer(ids, mask, pos):
         return np.full((len(ids), len(vocab)), math.log(1.0 / len(vocab)))
 
-    result = ev.pppl(scorer, ["a b c", "d e"], vocab, max_seq_len=16)
+    result = ev.pppl(rowwise(scorer), ["a b c", "d e"], vocab, max_seq_len=16)
     assert result.n_tokens == 5
     assert [n for n, _ in result.per_sentence] == [3, 2]
 
@@ -117,7 +120,7 @@ def test_pppl_rejects_positive_log_probs(vocab):
     def scorer(ids, mask, pos):
         return np.full((len(ids), len(vocab)), 0.5)
     with pytest.raises(NumericFault):
-        ev.pppl(scorer, ["a b"], vocab, max_seq_len=16)
+        ev.pppl(rowwise(scorer), ["a b"], vocab, max_seq_len=16)
 
 
 def test_batched_matches_naive_on_real_model(vocab):
@@ -221,6 +224,7 @@ def padded_rows(vocab, n=23, length=9):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_model_scorer_bits_depend_on_neither_chunk_size_nor_workers(
         outer_blas, vocab, workers, monkeypatch, dtype):
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)   # toy chunks split
     with ad.precision(dtype):
         ids, mask, positions = padded_rows(vocab)
         reference_scorer = real_scorer(vocab)
@@ -276,6 +280,7 @@ def test_a_scorer_inside_started_training_workers_gives_the_bits_of_one_outside(
 
 
 def test_model_scorer_encodes_each_chunk_once_under_thread_switching(vocab, monkeypatch):
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)   # toy chunks split
     monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(8)))
     ids, mask, positions = padded_rows(vocab)
     expected = real_scorer(vocab, chunk_size=len(ids))(ids, mask, positions)
@@ -300,6 +305,7 @@ def test_model_scorer_encodes_each_chunk_once_under_thread_switching(vocab, monk
 @pytest.mark.parametrize("where", ["any-worker", "helper"])
 def test_model_scorer_error_in_a_chunk_reaches_the_caller_and_cleans_up(
         outer_blas, vocab, monkeypatch, where):
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)   # toy chunks split
     monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
     scorer = real_scorer(vocab, chunk_size=2)
     ids, mask, positions = padded_rows(vocab)
@@ -343,6 +349,16 @@ def test_model_scorer_rejects_bad_positions(vocab, case):
         scorer(ids, mask, positions)
 
 
+def test_a_result_or_mask_that_misses_the_stacked_shape_is_configuration_error(vocab):
+    def flat(ids, mask, pos):   # one row per call, whatever the stacking
+        return np.full((len(ids), len(vocab)), math.log(1.0 / len(vocab)))
+    with pytest.raises(ConfigurationError, match=r"\(2, 13\) for positions \(2, 2\)"):
+        ev.pppl(flat, ["a b", "c d"], vocab, max_seq_len=16)
+    ids, mask, positions = scored_rows(vocab, n=4)
+    with pytest.raises(ConfigurationError, match="attention mask"):
+        real_scorer(vocab)(ids, mask[:, :-1], positions)
+
+
 # -- mean reciprocal rank ---------------------------------------------------
 
 
@@ -355,7 +371,7 @@ def rank_scorer(vocab, order):
         for r, tid in enumerate(ids):
             out[:, tid] = -float(r + 1)
         return out
-    return scorer
+    return rowwise(scorer)
 
 
 def one_word_item(word, sid="s1"):
@@ -386,7 +402,7 @@ def test_mrr_tie_breaks_toward_lower_token_id(vocab):
         out[:, [ida, idb]] = -1.0  # exact tie
         return out
 
-    result = ev.mrr_top5(scorer, [one_word_item("b")], vocab, 16)
+    result = ev.mrr_top5(rowwise(scorer), [one_word_item("b")], vocab, 16)
     assert result.rankings[0].rank == 2
     assert result.rankings[0].top5[0][0] == "a"
 
@@ -400,7 +416,7 @@ def test_mrr_invariant_under_monotone_probability_transform(vocab):
             row = base * scale_pow  # p -> p**scale_pow, strictly monotone
             row = row - np.log(np.exp(row - row.max()).sum()) - row.max()
             return np.tile(row, (len(ids), 1))
-        return scorer
+        return rowwise(scorer)
 
     items = [one_word_item(w, f"s{w}") for w in LETTERS]
     a = ev.mrr_top5(make(1.0), items, vocab, 16)
@@ -435,6 +451,219 @@ def test_mrr_order_invariance(vocab):
     fwd = ev.mrr_top5(rank_scorer(vocab, order), items, vocab, 16)
     rev = ev.mrr_top5(rank_scorer(vocab, order), items[::-1], vocab, 16)
     assert fwd.value == rev.value
+
+
+# -- stacked calls ----------------------------------------------------------
+
+
+def stacked_rows(vocab, k=4, n=5, length=9):
+    """(k, n, length) ids with one masked position per row, a padded tail on
+    some rows, and its mask and positions."""
+    ids, mask, positions = padded_rows(vocab, k * n, length)
+    return (ids.reshape(k, n, length), mask.reshape(k, n, length),
+            positions.reshape(k, n))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(4, 5), (6, 1)], ids=["k-by-n", "k-by-1"])
+def test_a_stacked_call_gives_the_bits_of_one_call_per_leading_index(
+        vocab, workers, monkeypatch, dtype, shape):
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)   # toy chunks split
+    with ad.precision(dtype):
+        ids, mask, positions = stacked_rows(vocab, *shape)
+        for chunk_size in (1, 3, 16):
+            scorer = real_scorer(vocab, chunk_size=chunk_size)
+            got = scorer(ids, mask, positions)
+            assert got.shape == shape + (len(vocab),)
+            for j in range(shape[0]):
+                one = scorer(ids[j], mask[j], positions[j])
+                assert got[j].tobytes() == one.tobytes(), (chunk_size, j)
+
+
+def test_a_toy_scale_call_starts_no_helper_unless_its_work_splits(vocab, monkeypatch):
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def refuse(pool):
+        raise RuntimeError("a helper started")
+    monkeypatch.setattr(ad._Pool, "start", refuse)
+    ids, mask, positions = stacked_rows(vocab)
+    scorer = real_scorer(vocab, chunk_size=1)
+    assert scorer(ids, mask, positions).shape == (4, 5, len(vocab))
+    if OPENBLAS is not None:   # without the thread controls nothing splits
+        monkeypatch.setattr(ad, "_SPLIT_MIN", 1)
+        with pytest.raises(RuntimeError, match="a helper started"):
+            scorer(ids, mask, positions)
+
+
+def pppl_per_sentence(scorer, sentences, vocab, max_seq_len):
+    """The oracle: one scorer call per sentence, faults raised as met."""
+    all_logs = []
+    per_sentence = []
+    for idx, (seq, _) in enumerate(tk.encode_all(sentences, vocab)):
+        ids = seq.ids
+        if not ids:
+            continue
+        if len(ids) + 2 > max_seq_len:
+            raise InputError(
+                f"sentence {idx} has {len(ids)} pieces; limit is {max_seq_len - 2} "
+                f"(split long sentences upstream)")
+        batch, positions, targets = ev._sentence_variants(ids, vocab)
+        lp = scorer(batch, np.ones_like(batch), positions)
+        ev._check_log_probs(lp)
+        picked = lp[np.arange(len(targets)), targets]
+        all_logs.extend(picked.tolist())
+        per_sentence.append((len(targets), -math.fsum(picked) / len(targets)))
+    if not all_logs:
+        raise InputError("evaluation corpus contains no scorable tokens")
+    value = math.exp(-math.fsum(all_logs) / len(all_logs))
+    return ev.PpplResult(value=value, n_tokens=len(all_logs), per_sentence=per_sentence)
+
+
+def mrr_per_item(scorer, items, vocab, max_seq_len):
+    """The oracle: one scorer call per item, faults raised as met."""
+    rankings = []
+    excluded = []
+    for item in items:
+        target = ev._single_token_id(item.answer, vocab)
+        if target is None:
+            excluded.append((item, ev.EXCLUDED_NOT_SINGLE_TOKEN))
+            continue
+        prefix = tk.encode(item.text[:item.start], vocab).ids
+        suffix = tk.encode(item.text[item.end:], vocab).ids
+        ids = np.array([[vocab.cls_id, *prefix, vocab.mask_id, *suffix, vocab.sep_id]])
+        if ids.shape[1] > max_seq_len:
+            raise InputError(f"item {item.source_id} exceeds max_seq_len {max_seq_len}")
+        lp = scorer(ids, np.ones_like(ids), np.array([1 + len(prefix)]))
+        ev._check_log_probs(lp)
+        row = lp[0]
+        order = np.lexsort((np.arange(len(row)), -row))[:5]
+        top5 = [(vocab.tokens[i], float(math.exp(row[i]))) for i in order]
+        where = np.nonzero(order == target)[0]
+        rank = int(where[0]) + 1 if len(where) else 0
+        rankings.append(ev.ItemRanking(item=item, rank=rank, top5=top5,
+                                       score=1.0 / rank if rank else 0.0))
+    if not rankings:
+        raise InputError("no scorable items: every target failed the single-token rule")
+    value = math.fsum(r.score for r in rankings) / len(rankings)
+    by_sentence = {}
+    for r in rankings:
+        by_sentence.setdefault(r.item.source_id, []).append(r.score)
+    by_sentence = {sid: math.fsum(s) / len(s) for sid, s in sorted(by_sentence.items())}
+    return ev.MrrResult(value=value, rankings=rankings, excluded=excluded,
+                        by_sentence=by_sentence)
+
+
+def outcome(metric, *args):
+    """A metric's result, or the type and message of the error it raised."""
+    try:
+        return metric(*args)
+    except (InputError, NumericFault) as exc:
+        return type(exc), str(exc)
+
+
+LETTER_VOCAB = tk.Vocabulary.from_tokens(list(tk.SPECIAL_TOKENS) + LETTERS)
+# words of one piece, of two (a [UNK] in this vocabulary) and blanks
+WORDS = st.sampled_from(LETTERS + ["ab", "x"])
+SENTENCES = st.lists(st.one_of(st.lists(WORDS, max_size=6).map(" ".join),
+                               st.sampled_from(["", "   "])), max_size=12)
+
+
+@st.composite
+def masked_items(draw):
+    words = draw(st.lists(WORDS, min_size=1, max_size=6))
+    at = draw(st.integers(0, len(words) - 1))
+    text = " ".join(words)
+    start = len(" ".join(words[:at])) + (1 if at else 0)
+    return ev.MaskedEvalItem(source_id=f"s{draw(st.integers(0, 3))}", text=text,
+                             start=start, end=start + len(words[at]), answer=words[at])
+
+
+@pytest.fixture(scope="module")
+def letter_scorers():
+    """A real scorer over LETTER_VOCAB in each dtype."""
+    scorers = {}
+    for dtype in ("float32", "float64"):
+        with ad.precision(dtype):
+            scorers[dtype] = real_scorer(LETTER_VOCAB)
+    return scorers
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sentences=SENTENCES, items=st.lists(masked_items(), max_size=12),
+       max_seq_len=st.sampled_from([6, 9, 16]), dtype=st.sampled_from(["float32", "float64"]))
+def test_stacked_metrics_equal_one_call_per_sentence_or_item(
+        letter_scorers, sentences, items, max_seq_len, dtype):
+    scorer = letter_scorers[dtype]
+    with ad.precision(dtype):
+        got = outcome(ev.pppl, scorer, sentences, LETTER_VOCAB, max_seq_len)
+        want = outcome(pppl_per_sentence, scorer, sentences, LETTER_VOCAB, max_seq_len)
+        assert got == want
+        if isinstance(want, ev.PpplResult):
+            assert got.value.hex() == want.value.hex()
+        got = outcome(ev.mrr_top5, scorer, items, LETTER_VOCAB, max_seq_len)
+        want = outcome(mrr_per_item, scorer, items, LETTER_VOCAB, max_seq_len)
+        assert got == want
+
+
+def recording(scorer, calls):
+    """scorer, with the shape of each call's ids appended to calls."""
+    def record(input_ids, attention_mask, positions):
+        calls.append(np.shape(input_ids))
+        return scorer(input_ids, attention_mask, positions)
+    return record
+
+
+def faulty_scorer(vocab):
+    """Uniform log-probabilities, but positive ones for rows holding "h"."""
+    def scorer(input_ids, attention_mask, positions):
+        out = np.full((len(input_ids), len(vocab)), math.log(1.0 / len(vocab)))
+        out[(input_ids == vocab.ids["h"]).any(axis=1)] = 0.5
+        return out
+    return rowwise(scorer)
+
+
+def test_stacked_calls_hold_at_most_max_seq_len_minus_two_rows(vocab):
+    calls = []
+    scorer = recording(faulty_scorer(vocab), calls)
+    sentences = ["a b", "c", "a b c d e f g", "d e"] * 4
+    got = ev.pppl(scorer, sentences, vocab, max_seq_len=9)
+    # 7 rows a call: sentences of 2 pieces three at a time, of 7 one at a time
+    assert calls == [(3, 2, 4)] * 2 + [(2, 2, 4), (4, 1, 3)] + [(1, 7, 9)] * 4
+    assert got == pppl_per_sentence(faulty_scorer(vocab), sentences, vocab, 9)
+    calls.clear()
+    items = [one_word_item(w, f"s{i}") for i, w in enumerate("abcdefgabcd")]
+    got = ev.mrr_top5(scorer, items, vocab, 9)
+    assert calls == [(7, 1, 3), (4, 1, 3)]
+    assert got == mrr_per_item(faulty_scorer(vocab), items, vocab, 9)
+
+
+@pytest.mark.parametrize("first", ["invalid", "too-long"])
+def test_the_first_fault_in_corpus_order_wins(vocab, first):
+    calls = []
+    scorer = recording(faulty_scorer(vocab), calls)
+    faults = {"invalid": "h a", "too-long": "a b c d e f g a"}
+    second = "too-long" if first == "invalid" else "invalid"
+    sentences = ["a b", "c d e", faults[first], "a", faults[second], "b c"]
+    if first == "invalid":
+        with pytest.raises(NumericFault, match="invalid log-probabilities"):
+            ev.pppl(scorer, sentences, vocab, max_seq_len=9)
+    else:
+        with pytest.raises(InputError, match="sentence 2 has 8 pieces; limit is 7"):
+            ev.pppl(scorer, sentences, vocab, max_seq_len=9)
+    assert calls and max(width for *_, width in calls) <= 9   # never the long one
+
+    calls.clear()
+    faults = {"invalid": ev.MaskedEvalItem("bad", "h a", 2, 3, "a"),
+              "too-long": ev.MaskedEvalItem("long", "a b c d e f g", 0, 1, "a")}
+    items = [one_word_item("a"), one_word_item("ab", "multi"), faults[first],
+             one_word_item("b"), faults[second]]
+    if first == "invalid":
+        with pytest.raises(NumericFault, match="invalid log-probabilities"):
+            ev.mrr_top5(scorer, items, vocab, 8)
+    else:
+        with pytest.raises(InputError, match="item long exceeds max_seq_len 8"):
+            ev.mrr_top5(scorer, items, vocab, 8)
+    assert calls and max(width for *_, width in calls) <= 8
 
 
 # -- masked-set file --------------------------------------------------------

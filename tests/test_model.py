@@ -350,3 +350,23 @@ def test_model_state_rejects_a_vocabulary_of_another_size():
     assert len(vocab) != config.vocab_size
     with pytest.raises(ConfigurationError, match="vocabulary size"):
         md.ModelState(config=config, params={}, vocab=vocab)
+
+
+@pytest.mark.parametrize("n_layers, untied", [(1, False), (3, False), (3, True)])
+def test_missing_params_and_layer_paths_agree_with_the_full_listing(n_layers, untied):
+    config = small_config(n_layers=n_layers, tie_mlm_decoder=not untied)
+    full = md.param_shapes(config)
+    one = md.param_shapes(small_config(n_layers=1, tie_mlm_decoder=not untied))
+    for path, shape in full.items():
+        assert one[md.layer_zero_path(path, n_layers)] == shape
+    strays = ["heads.ner.weight", f"encoder.{n_layers}.ffn.in.weight",
+              "encoder.01.ffn.in.weight", "encoder." + "9" * 5000 + ".ffn.in.weight"]
+    assert [md.layer_zero_path(p, n_layers) for p in strays] == [
+        "heads.ner.weight", None, "encoder.01.ffn.in.weight", None]
+    rng = np.random.default_rng(n_layers)
+    for dropped in (0, 1, 5, 20, len(full)):
+        gone = set(rng.choice(sorted(full), size=dropped, replace=False))
+        params = {p: None for p in [*full, *strays] if p not in gone}
+        want = [p for p in full if p in gone]
+        for limit in (0, 3, 8, len(full)):
+            assert md.missing_params(params, config, limit) == (len(want), want[:limit])
