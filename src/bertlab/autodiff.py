@@ -3,7 +3,8 @@
 Everything the encoder and heads need, on contiguous numpy storage: matmul,
 add (elementwise or bias-over-last-axis), mul, softmax, layer_norm, gelu,
 tanh, embedding_lookup, cross_entropy, plus shape plumbing (reshape,
-transpose, select) and a finite-difference gradient checker.
+transpose, select). The finite-difference gradient checker, a test oracle,
+lives with the tests (tests/oracles.py).
 
 Three fused ops each record one node with a hand-written backward: linear
 (x @ w + b), add_norm (layer_norm(x + y)) and attention (multi-head
@@ -55,7 +56,6 @@ from .errors import DimensionError, NumericFault
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
 IGNORE_INDEX = -100   # a cross_entropy target that scores nothing
-_FD_STEP = 1e-5        # grad_check's central-difference step
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -866,18 +866,27 @@ def take_rows(t: Tensor, rows) -> Tensor:
     """(N, H): the rows of a 2-d t at N distinct indices. The gradient is
     written into the rows, as 0.0 + g when none reached t before."""
     t = _as_tensor(t)
-    rows = np.asarray(rows)
-    if (t.data.ndim != 2 or rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
-            or np.unique(rows).size != rows.size):
-        raise DimensionError("take_rows", t.shape, rows.shape)
-    if rows.size and (rows.min() < 0 or rows.max() >= len(t.data)):
-        raise DimensionError("take_rows", t.shape, (int(rows.min()), int(rows.max())))
+    if t.data.ndim != 2:
+        raise DimensionError("take_rows", t.shape, np.shape(rows))
+    rows = distinct_rows("take_rows", len(t.data), rows)
 
     def back(g):
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
         t.grad[rows] += g
     return _node(t.data[rows], (t,), back)
+
+
+def distinct_rows(op, n: int, rows) -> np.ndarray:
+    """rows as a 1-d array of distinct integer indices into range(n); a
+    DimensionError naming op otherwise."""
+    rows = np.asarray(rows)
+    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or np.unique(rows).size != rows.size):
+        raise DimensionError(op, (n,), rows.shape)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise DimensionError(op, (n,), (int(rows.min()), int(rows.max())))
+    return rows
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -1122,56 +1131,3 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         grad *= g / n
         _accumulate(logits, grad.reshape(logits.shape))
     return _node(np.asarray(loss, dtype=logits.data.dtype), (logits,), back)
-
-
-# ---------------------------------------------------------------------------
-# gradient verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f, x: Tensor) -> float:
-    """Max relative error between analytic and central-difference gradients of
-    scalar-valued f at x: max_i |a_i - n_i| / max(1, |a_i|)."""
-    return grad_check_params(lambda: f(x), {"x": x})["x"]
-
-
-def grad_check_params(f, params) -> dict:
-    """grad_check over a {path: Tensor} mapping; f() reads the tensors in place.
-
-    Returns {path: max relative error} over every coordinate of every tensor.
-    """
-    for t in params.values():
-        t.grad = None
-    out = f()
-    if out.data.ndim != 0:
-        raise DimensionError("grad_check-nonscalar", out.data.shape)
-    out.backward()
-    analytic = {
-        path: (t.grad if t.grad is not None else np.zeros_like(t.data)).reshape(-1).copy()
-        for path, t in params.items()
-    }
-    if not all(np.isfinite(a).all() for a in analytic.values()):
-        raise NumericFault("grad_check: non-finite gradient")
-    errors = {}
-    for path, t in params.items():
-        a = analytic[path]
-        rel = np.abs(a - _central_differences(f, t)) / np.maximum(1.0, np.abs(a))
-        errors[path] = float(rel.max()) if rel.size else 0.0
-    return errors
-
-
-def _central_differences(f, x: Tensor) -> np.ndarray:
-    # perturb x.data itself, in the analytic gradient's C order: a reshape copies
-    numeric = np.zeros(x.data.size, dtype=np.float64)
-    with no_grad():
-        for i, idx in enumerate(np.ndindex(x.data.shape)):
-            orig = x.data[idx]
-            x.data[idx] = orig + _FD_STEP
-            fp = float(f().data)
-            x.data[idx] = orig - _FD_STEP
-            fm = float(f().data)
-            x.data[idx] = orig
-            numeric[i] = (fp - fm) / (2.0 * _FD_STEP)
-    if not np.isfinite(numeric).all():
-        raise NumericFault("grad_check: non-finite finite-difference value")
-    return numeric

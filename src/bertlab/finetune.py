@@ -451,10 +451,6 @@ def qa_scores(gold_texts, predicted_text) -> PRF:
     return best
 
 
-def qa_f1(gold_texts, predicted_text) -> float:
-    return qa_scores(gold_texts, predicted_text).f1
-
-
 def re_f1(gold, predicted, negative_label=None) -> PRF:
     """Micro-averaged over the positive classes; the designated negative
     class contributes no true positives."""

@@ -41,7 +41,10 @@ class ModelScorer:
     A chunk holds at least chunk_size rows and at least
     `autodiff._SPLIT_MIN` hidden-state elements (rows x W x H), so a call
     with less work than that runs whole in the calling thread and starts no
-    helper. The MLM head then decodes the scored rows in one call, stacked
+    helper. Each chunk's encoder returns only its scored rows: the last
+    layer runs its output projection, FFN and norms on those rows alone
+    (`model.forward_encoder`'s rows), with the bits of the full layer. The
+    MLM head then decodes the scored rows in one call, stacked
     as (..., H): numpy runs a 3-D product as one product per leading index,
     so a (k, n, W) call gives the bits of k (n, W) calls (a flattened
     (k * n, H) product would not). The log-probabilities depend on neither
@@ -51,7 +54,7 @@ class ModelScorer:
     PPPL during desk pretraining), on one OpenBLAS thread, which gives the
     same bits at the desk head's shape in float64 (tests/test_mlmeval.py).
     The thread count and `no_grad` are process-wide, so one call runs at a
-    time.
+    time. A call with no rows returns an empty (..., V) array.
     """
 
     def __init__(self, params: dict, config: md.ModelConfig, chunk_size: int = 16):
@@ -77,6 +80,8 @@ class ModelScorer:
         if outside.size:
             raise ConfigurationError(f"position {int(outside[0])} outside [0, {length})")
         lead = positions.shape
+        if not positions.size:
+            return np.empty(lead + (self.config.vocab_size,))
         input_ids = input_ids.reshape(-1, length)
         attention_mask = attention_mask.reshape(-1, length)
         positions = positions.reshape(-1)
@@ -87,10 +92,9 @@ class ModelScorer:
             # the hidden state of the one scored row of each sequence
             hi = lo + chunk
             ids = input_ids[lo:hi]
-            hidden = md.forward_encoder(self.params, self.config, ids,
-                                        np.zeros_like(ids), attention_mask[lo:hi])
             flat = np.arange(len(ids)) * length + positions[lo:hi]
-            return md.gather_rows(hidden, flat).data
+            return md.forward_encoder(self.params, self.config, ids, np.zeros_like(ids),
+                                      attention_mask[lo:hi], flat).data
 
         starts = range(0, len(input_ids), chunk)
         with ad.no_grad():

@@ -246,11 +246,17 @@ def attention_mask_bias(attention_mask: np.ndarray, dtype) -> np.ndarray:
 
 
 def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
-                    attention_mask, train: bool = False,
+                    attention_mask, rows=None, *, train: bool = False,
                     rng: np.random.Generator = None) -> Tensor:
     """Hidden states (B, L, H). attention_mask is 1 at real positions, 0 at PAD.
 
     train=True enables dropout (requires rng).
+
+    rows (inference only): distinct flat indices b * L + l; the result is
+    then (N, H), the bits of gather_rows(forward_encoder(...), rows). The
+    last layer's attention runs over every row, each sequence needing all its
+    keys and values; its position-wise tail runs on the scored rows only
+    (`_pack_rows`).
     """
     input_ids = np.asarray(input_ids)
     segment_ids = np.asarray(segment_ids)
@@ -272,6 +278,11 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
             f"n_segment_types {config.n_segment_types}")
     if train and config.dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("training forward pass needs an rng for dropout")
+    if rows is not None:
+        if train or (ad._GRAD_ENABLED and any(t.requires_grad for t in params.values())):
+            raise ConfigurationError("forward_encoder rows are for inference only: "
+                                     "no training pass and no recorded graph")
+        rows = ad.distinct_rows("forward_encoder-rows", b * length, rows)
     drop = config.dropout_rate if train else 0.0
     eps = config.layer_norm_eps
 
@@ -287,12 +298,41 @@ def forward_encoder(params: dict, config: ModelConfig, input_ids, segment_ids,
         qkv = [params[f"{base}.attention.{proj}.{kind}"]
                for proj in "qkv" for kind in ("weight", "bias")]
         ctx = ad.attention(x, *qkv, mask_bias, config.n_heads, drop, rng)
+        if rows is not None and i == config.n_layers - 1:
+            pack, unpack = _pack_rows(rows, length)
+            x, ctx = pack(x), pack(ctx)
         attn = ad.dropout(_linear(ctx, params, f"{base}.attention.out"), drop, rng)
         x = _add_norm(x, attn, params, f"{base}.attention.norm", eps)
         ff = _linear(ad.gelu(_linear(x, params, f"{base}.ffn.in")), params, f"{base}.ffn.out")
         ff = ad.dropout(ff, drop, rng)
         x = _add_norm(x, ff, params, f"{base}.ffn.norm", eps)
-    return x
+    return x if rows is None else unpack(x)
+
+
+def _pack_rows(rows: np.ndarray, length: int) -> tuple:
+    """(pack, unpack) for the rows b * L + l of (B, L, H) arrays: pack
+    copies them into an (S, L, H) Tensor, zero elsewhere, each at its own
+    position l in slot s, the count of earlier rows at l (S is the most rows
+    one position holds); unpack reads (N, H) back from there. numpy runs a
+    3-D product as one (L, H) product per leading index, and the norms and
+    GELU are row-wise or elementwise, so each row gets the bits it gets in
+    the full (B, L, H) layer; a flattened (N, H) product would not."""
+    seq, pos = np.divmod(rows, length)
+    order = np.argsort(pos, kind="stable")
+    slot = np.empty_like(rows)   # rank among the rows at one position, from its group's start
+    slot[order] = np.arange(len(rows)) - np.searchsorted(pos[order], pos[order])
+    n_slots = int(slot.max()) + 1 if len(rows) else 0
+
+    def pack(t: Tensor) -> Tensor:
+        out = np.zeros((n_slots, length, t.shape[-1]), t.dtype)
+        out[slot, pos] = t.data[seq, pos]
+        with ad.precision(t.dtype):   # a Tensor takes the default dtype
+            return Tensor(out)
+
+    def unpack(t: Tensor) -> Tensor:
+        with ad.precision(t.dtype):
+            return Tensor(t.data[slot, pos])
+    return pack, unpack
 
 
 def gather_rows(hidden: Tensor, rows) -> Tensor:

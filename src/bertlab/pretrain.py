@@ -23,7 +23,7 @@ from . import mlmeval
 from . import model as md
 from .autodiff import IGNORE_INDEX
 from .errors import (ConfigurationError, DimensionError, InputError, NumericFault, Record,
-                     ValidationError, read_json_lines, read_text, within, write_text)
+                     ValidationError, read_json_lines, read_text, within)
 from .mitigation import (CFConfig, frozen_paths, is_replay_step, llrd_factors,
                          mixout_apply, take_anchor)
 from .model import ModelState
@@ -75,11 +75,6 @@ def load_corpus(path) -> Corpus:
     if not docs:
         raise InputError(f"corpus {path} contains no documents")
     return Corpus(documents=tuple(docs))
-
-
-def save_corpus(corpus: Corpus, path) -> None:
-    write_text(path, "\n".join("".join(sentence + "\n" for sentence in doc)
-                               for doc in corpus.documents))
 
 
 def split_heldout(corpus: Corpus, fraction: float):

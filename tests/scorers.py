@@ -1,6 +1,10 @@
-"""Hand-built scorers for the metric tests."""
+"""Hand-built scorers for the metric tests, and the model scorer's oracle."""
+
+from unittest import mock
 
 import numpy as np
+
+from bertlab import model as md
 
 
 def rowwise(scorer):
@@ -15,3 +19,18 @@ def rowwise(scorer):
                      np.asarray(positions).reshape(-1))
         return out.reshape(input_ids.shape[:-1] + out.shape[-1:])
     return stacked
+
+
+def gather_scorer(scorer):
+    """A `ModelScorer` as it was before the encoder took scored rows: each
+    chunk runs the full encoder, last layer included, over all its rows, and
+    `gather_rows` then picks the scored ones. The oracle of the rows path."""
+    def oracle(input_ids, attention_mask, positions):
+        full = md.forward_encoder
+
+        def full_then_gather(params, config, ids, segment_ids, mask, rows=None, **kwargs):
+            hidden = full(params, config, ids, segment_ids, mask, **kwargs)
+            return hidden if rows is None else md.gather_rows(hidden, rows)
+        with mock.patch.object(md, "forward_encoder", full_then_gather):
+            return scorer(input_ids, attention_mask, positions)
+    return oracle

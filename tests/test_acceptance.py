@@ -18,6 +18,7 @@ import pytest
 
 import synthdata as sd
 from scorers import rowwise
+from oracles import grad_check, grad_check_params, save_corpus
 from statecheck import assert_same_state
 from bertlab import autodiff as ad
 from bertlab import checkpoint as ckpt
@@ -121,7 +122,7 @@ def test_criterion_01_gradient_correctness():
                                                           rate=rate, rng=rng), weights))
                 probes.append((f"attention-{name}-rate{rate}", fn, t(att_args[name].shape)))
         for name, fn, x in probes:
-            err = ad.grad_check(fn, x)
+            err = grad_check(fn, x)
             assert err < FD_PRIMITIVE_TOL, f"{name}: relative error {err}"
 
         # full objective on the toy configuration
@@ -135,7 +136,7 @@ def test_criterion_01_gradient_correctness():
                             max_seq_len=16, heldout_fraction=0.0, seed=3)
         batch = pt.BatchStream(corpus, vocab, plan).batch(0)
         # every coordinate of every parameter tensor, no sampling
-        errors = ad.grad_check_params(
+        errors = grad_check_params(
             lambda: pt.pretrain_loss(params, config, batch)[0], params)
         worst = max(errors, key=errors.get)
         assert errors[worst] < FD_FULL_LOSS_TOL, f"{worst}: {errors[worst]}"
@@ -531,10 +532,10 @@ def test_criterion_10_end_to_end_pipeline(tmp_path):
     community = sd.community_corpus(words_s, words_o, n_docs_each=35, seed=6)
     corpus_b = pt.Corpus(documents=community.documents[:60])
     eval_b = pt.Corpus(documents=community.documents[60:])
-    pt.save_corpus(corpus_a, j("a.txt"))
-    pt.save_corpus(corpus_b, j("b.txt"))
-    pt.save_corpus(eval_b, j("b_eval.txt"))
-    pt.save_corpus(pt.Corpus(documents=corpus_a.documents + corpus_b.documents),
+    save_corpus(corpus_a, j("a.txt"))
+    save_corpus(corpus_b, j("b.txt"))
+    save_corpus(eval_b, j("b_eval.txt"))
+    save_corpus(pt.Corpus(documents=corpus_a.documents + corpus_b.documents),
                    j("union.txt"))
     ft.save_ner(sd.membership_ner(words_s[:5], words_o[:5], 80, seed=21),
                 j("ner.train.conll"))

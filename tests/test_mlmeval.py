@@ -18,7 +18,7 @@ from bertlab import model as md
 from bertlab import tokenizer as tk
 from bertlab.errors import ConfigurationError, InputError, NumericFault, ValidationError
 from bertlab.seeding import substream
-from scorers import rowwise
+from scorers import gather_scorer, rowwise
 
 LETTERS = ["a", "b", "c", "d", "e", "f", "g", "h"]
 
@@ -493,6 +493,48 @@ def test_a_toy_scale_call_starts_no_helper_unless_its_work_splits(vocab, monkeyp
         monkeypatch.setattr(ad, "_SPLIT_MIN", 1)
         with pytest.raises(RuntimeError, match="a helper started"):
             scorer(ids, mask, positions)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_scorer_gives_the_bits_of_the_full_encoder_then_gather_rows(
+        vocab, monkeypatch, dtype, cpus):
+    monkeypatch.setattr(ad, "_SPLIT_MIN", 1)   # toy chunks split
+    monkeypatch.setattr(ad.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    with ad.precision(dtype):
+        batch, maskings, _ = ev._sentence_variants([vocab.ids[c] for c in "abcdefgh"], vocab)
+        for ids, mask, positions in (stacked_rows(vocab, k=6, n=4),   # rows share positions
+                                     (batch, np.ones_like(batch), maskings)):
+            for chunk_size in (1, 3, 16):
+                scorer = real_scorer(vocab, chunk_size=chunk_size)
+                got = scorer(ids, mask, positions)
+                want = gather_scorer(scorer)(ids, mask, positions)
+                assert got.shape == want.shape == positions.shape + (len(vocab),)
+                assert got.tobytes() == want.tobytes(), chunk_size
+
+
+def test_a_pppl_chunk_runs_the_last_layer_tail_on_one_slot(vocab, monkeypatch):
+    scorer = real_scorer(vocab, chunk_size=16)
+    ids, positions, _ = ev._sentence_variants([vocab.ids[c] for c in "abcdefg"], vocab)
+    shapes, full = [], ad.linear
+
+    def recording(x, w, b):
+        shapes.append(x.shape)
+        return full(x, w, b)
+    monkeypatch.setattr(ad, "linear", recording)
+    scorer(ids, np.ones_like(ids), positions)
+    n, width = ids.shape
+    # layer 0 on all seven maskings; layer 1's out-projection and FFN on one
+    # slot, the seven masked positions being distinct; the head on 7 rows
+    assert shapes == [(n, width, 32)] * 2 + [(n, width, 16)] + \
+        [(1, width, 32)] * 2 + [(1, width, 16)] + [(n, 32)] * 2
+
+
+@pytest.mark.parametrize("shape", [(0, 9), (3, 0, 9), (0, 0)])
+def test_a_scorer_call_with_no_rows_returns_no_log_probs(vocab, shape):
+    ids = np.zeros(shape, dtype=np.int64)
+    got = real_scorer(vocab)(ids, np.ones_like(ids), np.zeros(shape[:-1], dtype=np.int64))
+    assert got.shape == shape[:-1] + (len(vocab),) and got.dtype == np.float64
 
 
 def pppl_per_sentence(scorer, sentences, vocab, max_seq_len):

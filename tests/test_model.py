@@ -4,14 +4,17 @@ gradient check of the joint pretraining loss."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bertlab import autodiff as ad
 from bertlab import mitigation as mit
 from bertlab import model as md
 from bertlab.autodiff import Tensor
-from bertlab.errors import ConfigurationError
+from bertlab.errors import ConfigurationError, DimensionError
 from bertlab.seeding import substream
 from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary
+from oracles import grad_check_params
 
 
 def small_config(**overrides):
@@ -234,6 +237,73 @@ def test_fused_encoder_layer_records_seven_nodes():
     assert unfused == 31
 
 
+# -- the encoder at scored rows only ----------------------------------------
+
+
+@st.composite
+def scored_encoder_cases(draw):
+    """(config, ids, mask, rows, dtype): a padded batch and distinct flat rows
+    in any order: every row, one row, or a subset, often with several rows
+    at one position."""
+    n_heads = draw(st.sampled_from([1, 2, 4]))
+    config = small_config(n_layers=draw(st.integers(1, 3)), n_heads=n_heads,
+                          hidden_dim=n_heads * draw(st.sampled_from([2, 8, 16])),
+                          ff_dim=draw(st.sampled_from([8, 24, 64])))
+    b, length = draw(st.integers(1, 6)), draw(st.integers(1, config.max_seq_len))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ids = rng.integers(5, config.vocab_size, size=(b, length))
+    mask = (np.arange(length) < rng.integers(1, length + 1, size=(b, 1))).astype(np.int64)
+    ids[mask == 0] = 0
+    kind = draw(st.sampled_from(["every", "one", "subset"]))
+    if kind == "every":
+        rows = rng.permutation(b * length)
+    elif kind == "one":
+        rows = rng.integers(0, b * length, size=1)
+    else:
+        rows = np.array(draw(st.lists(st.integers(0, b * length - 1), min_size=1,
+                                      max_size=b * length, unique=True)))
+    return config, ids, mask, rows, draw(st.sampled_from(["float32", "float64"]))
+
+
+def shared_position_case():
+    config = small_config(n_layers=2)
+    ids, _, mask = make_batch(config, b=4, length=9, n_real=6, seed=2)
+    return config, ids, mask, np.array([9 + 3, 3, 27 + 3, 1, 18 + 8]), "float32"
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=scored_encoder_cases())
+@example(case=shared_position_case())
+def test_the_encoder_at_rows_gives_the_bits_of_the_gathered_full_encoder(case):
+    config, ids, mask, rows, dtype = case
+    with ad.precision(dtype):
+        params = md.init_params(config, substream(15, "init"))
+        with ad.no_grad():
+            seg = np.zeros_like(ids)
+            want = md.gather_rows(md.forward_encoder(params, config, ids, seg, mask), rows)
+            got = md.forward_encoder(params, config, ids, seg, mask, rows)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.shape == (len(rows), config.hidden_dim)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_the_encoder_at_rows_is_for_inference_only():
+    config = small_config()
+    params = md.init_params(config, substream(16, "init"))
+    ids, seg, mask = make_batch(config)
+    with pytest.raises(ConfigurationError, match="inference only"):
+        md.forward_encoder(params, config, ids, seg, mask, [0, 9])   # a graph is recorded
+    with ad.no_grad(), pytest.raises(ConfigurationError, match="inference only"):
+        md.forward_encoder(params, config, ids, seg, mask, [0, 9], train=True,
+                           rng=substream(1, "d"))
+    with ad.no_grad():
+        for bad in ([0, 0], [16], [-1], [[0, 1]], [0.0]):
+            with pytest.raises(DimensionError, match="forward_encoder-rows"):
+                md.forward_encoder(params, config, ids, seg, mask, bad)
+        none = np.array([], dtype=np.int64)
+        assert md.forward_encoder(params, config, ids, seg, mask, none).shape == (0, 32)
+
+
 # -- heads ------------------------------------------------------------------
 
 
@@ -330,7 +400,7 @@ def test_end_to_end_gradient_check_mlm_nsp():
             return ad.add(ad.cross_entropy(md.mlm_logits(hidden, params, config), labels),
                           ad.cross_entropy(md.nsp_logits(hidden, params), nsp))
 
-        errs = ad.grad_check_params(loss, params)
+        errs = grad_check_params(loss, params)
         worst = max(errs.values())
         assert worst < 1e-4, max(errs, key=errs.get)
 

@@ -26,6 +26,7 @@ from bertlab.errors import (ConfigurationError, DimensionError, InputError,
 from bertlab.mitigation import CFConfig, preset
 from bertlab.seeding import substream
 from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary, encode, train_vocab
+from oracles import save_corpus
 from statecheck import assert_same_state
 from test_autodiff import record_mallopt
 from test_tokenizer import encode_scan
@@ -87,7 +88,7 @@ def test_corpus_counts_sentences():
 def test_corpus_file_round_trip(tmp_path):
     c = pt.Corpus(documents=(("one two", "three"), ("four",), ("five", "six")))
     path = tmp_path / "corpus.txt"
-    pt.save_corpus(c, path)
+    save_corpus(c, path)
     loaded = pt.load_corpus(path)
     assert loaded.documents == c.documents
     # blank line separates documents on disk
