@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import truncnorm
+from scipy.special import log1p, log_ndtr, ndtr, ndtri_exp
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -120,8 +120,24 @@ def is_no_decay(path: str) -> bool:
     return path.endswith(".bias") or ".norm." in path
 
 
+# log Φ(-2) and the log of the normal mass in [-2, 2], as scipy.stats computes them
+_LOG_CDF_LO = log_ndtr(-2.0)
+_LOG_MASS = log1p(-ndtr(-2.0) - ndtr(-2.0))
+
+
 def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return truncnorm.rvs(-2.0, 2.0, scale=INIT_STD, size=shape, random_state=rng)
+    """Normal draws truncated to ±2σ, σ = INIT_STD: the bits of
+    scipy.stats.truncnorm.rvs(-2, 2, scale=INIT_STD, size=shape,
+    random_state=rng) at scipy 1.17.1, which draws one uniform q per element
+    and takes the inverse CDF Φ⁻¹(Φ(-2) + q·mass) in log space. The steps
+    are scipy's, in its order; its two-term logsumexp is spelled out, since
+    np.logaddexp rounds differently, and takes numpy's log1p, as scipy's
+    does: scipy.special's log1p, used for the mass, rounds some inputs
+    differently."""
+    x = np.log(rng.uniform(size=shape)) + _LOG_MASS
+    hi = np.maximum(x, _LOG_CDF_LO)
+    lo = np.minimum(x, _LOG_CDF_LO)
+    return ndtri_exp(np.log1p(np.exp(lo - hi)) + 0.0 + hi) * INIT_STD + 0.0
 
 
 def param_shapes(config: ModelConfig) -> dict:

@@ -1,10 +1,13 @@
 """Test-only references that no run needs: the finite-difference gradient
-checker, a corpus writer and the QA F1 shortcut. The unfused encoder, the
-other oracle of the fused ops, lives in test_model.py."""
+checker, scipy's truncated-normal draw, a corpus writer and the QA F1
+shortcut. The unfused encoder, the other oracle of the fused ops, lives in
+test_model.py."""
 
 import numpy as np
+from scipy.stats import truncnorm
 
 from bertlab import autodiff as ad
+from bertlab import model as md
 from bertlab.errors import DimensionError, NumericFault, write_text
 from bertlab.finetune import qa_scores
 from bertlab.seeding import map_units
@@ -62,6 +65,12 @@ def _central_differences(f, x: ad.Tensor) -> np.ndarray:
     if not np.isfinite(numeric).all():
         raise NumericFault("grad_check: non-finite finite-difference value")
     return numeric
+
+
+def trunc_normal_scipy(rng: np.random.Generator, shape) -> np.ndarray:
+    """The initial-weight draw as scipy.stats gives it, the oracle of
+    model._trunc_normal."""
+    return truncnorm.rvs(-2.0, 2.0, scale=md.INIT_STD, size=shape, random_state=rng)
 
 
 def save_corpus(corpus, path) -> None:

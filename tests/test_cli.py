@@ -123,6 +123,16 @@ def pipeline(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every bertlab process about 44 MB and 0.5 s to import
+    src = os.path.dirname(os.path.dirname(ft.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bertlab.cli; "
+                               "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit):
         entrypoint(["frobnicate"])

@@ -14,7 +14,7 @@ from bertlab.autodiff import Tensor
 from bertlab.errors import ConfigurationError, DimensionError
 from bertlab.seeding import substream
 from bertlab.tokenizer import SPECIAL_TOKENS, Vocabulary
-from oracles import grad_check_params
+from oracles import grad_check_params, trunc_normal_scipy
 
 
 def small_config(**overrides):
@@ -79,6 +79,48 @@ def test_init_is_deterministic_and_truncated():
     w = a["encoder.0.attention.q.weight"].data
     assert np.abs(w).max() <= 2.0 * md.INIT_STD + 1e-12
     assert w.std() == pytest.approx(md.INIT_STD, rel=0.2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 63 - 1),
+       shape=st.lists(st.integers(0, 300), min_size=1, max_size=3).map(tuple)
+       .filter(lambda s: np.prod(s) <= 60_000))
+@example(seed=0, shape=(8000, 128))
+@example(seed=1, shape=(0, 128))
+@example(seed=2, shape=(3, 0, 5))
+def test_trunc_normal_gives_the_bits_and_rng_state_of_scipy_truncnorm(seed, shape):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = md._trunc_normal(ours, shape), trunc_normal_scipy(theirs, shape)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape) == (np.float64, shape)
+    assert got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+DESK = dict(n_layers=4, hidden_dim=128, n_heads=4, ff_dim=512, max_seq_len=128,
+            vocab_size=8000)   # the README's desk model
+TOY = dict(n_layers=2, hidden_dim=32, n_heads=4, ff_dim=64, max_seq_len=32,
+           vocab_size=100)     # the toy model of perfbench and the acceptance criteria
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("dims", [TOY, DESK], ids=["toy", "desk"])
+def test_init_and_task_heads_give_the_bits_of_the_scipy_draw(monkeypatch, dims, dtype):
+    # float64 keeps the draw's own bits; float32 is what a run stores
+    config = md.ModelConfig(**dims)
+
+    def build():
+        with ad.precision(dtype):
+            params = md.init_params(config, substream(3, "init"))
+            rng = substream(3, "heads")
+            for name, n_out in (("ner", 5), ("qa", 2), ("re", 3)):
+                md.add_task_head(params, config, name, n_out, rng)
+        return params
+    got = build()
+    monkeypatch.setattr(md, "_trunc_normal", trunc_normal_scipy)
+    want = build()
+    assert list(got) == list(want)
+    for path in want:
+        assert got[path].data.tobytes() == want[path].data.tobytes(), path
 
 
 # -- padding isolation ------------------------------------------------------
