@@ -20,6 +20,12 @@ axis and the constant-add used for attention masking; every other shape
 coercion is explicit. Backward accumulation is sequential, so runs are
 bit-reproducible given a seed.
 
+Backward releases the graph as it walks it: once an op node's backward has
+run, its closure (with the arrays it saved), its parents and its gradient
+are dropped, so a step holds only what the rest of its backward still needs.
+Leaves keep their gradients. A graph can be backed through once; a second
+backward through any of its op nodes raises ConfigurationError.
+
 GELU runs in cache-sized blocks for both dtypes: float32 evaluates its own
 erf, within 3 ulp of scipy's float32 erf; float64 keeps scipy's erf.
 
@@ -51,7 +57,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionError, NumericFault
+from .errors import ConfigurationError, DimensionError, NumericFault
 
 _DEFAULT_DTYPE = np.float32
 _GRAD_ENABLED = True
@@ -189,6 +195,7 @@ class _Pool:
     def _serve(self):
         for job in iter(self.jobs.get, None):
             job()
+            del job   # waiting for the next, hold nothing the last one's closure holds
 
     def close(self):
         for _ in self.helpers:
@@ -329,7 +336,9 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
     def backward(self, grad=None) -> None:
-        """Reverse-mode pass from this tensor; leaf gradients accumulate additively."""
+        """Reverse-mode pass from this tensor; leaf gradients accumulate
+        additively. Each op node is released once its backward has run, so
+        the graph can be backed through once."""
         if grad is None:
             if self.data.ndim != 0:
                 raise DimensionError("backward-without-seed-gradient", self.data.shape)
@@ -339,10 +348,22 @@ class Tensor:
             if grad.shape != self.data.shape:
                 raise DimensionError("backward", self.data.shape, grad.shape)
         _accumulate(self, grad)
-        for node in reversed(_topo_order(self)):
+        # popped, not iterated: the list must not keep released nodes alive
+        order = _topo_order(self)
+        while order:
+            node = order.pop()
+            if node._backward is None:   # a leaf
+                continue
             # a node no gradient reached (a loss over zero targets) passes none on
-            if node._backward is not None and node.grad is not None:
+            if node.grad is not None:
                 node._backward(node.grad)
+            # all its consumers have run: nothing reads its gradient or saved arrays again
+            node._backward, node._parents, node.grad = _released, (), None
+
+
+def _released(g):
+    raise ConfigurationError("backward through a released graph: a graph can be "
+                             "backed through once")
 
 
 def _topo_order(root: Tensor):
@@ -897,16 +918,16 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     _check_dropout(rate, rng)
     x = t.data
     pieces = row_slices(len(x), x.size, x) if x.ndim else [...]
-    mask, fill = _mask_in_pieces(pieces, x.shape, rate, rng, x.dtype)
+    keep, fill = _mask_in_pieces(pieces, x.shape, rate, rng)
 
-    def keep(s, outs):
+    def forward(s, outs):
         fill(s)
-        return [np.multiply(x[s], mask[s], out=outs[0])]
-    (out,) = _in_pieces(pieces, keep, [x.shape], x.dtype)
+        return [_apply_keep(x[s], keep[s], rate, outs[0])]
+    (out,) = _in_pieces(pieces, forward, [x.shape], x.dtype)
 
     def back(g):
-        (grad,) = _in_pieces(row_slices(len(g), g.size, g, mask) if g.ndim else [...],
-                             lambda s, outs: [np.multiply(g[s], mask[s], out=outs[0])],
+        (grad,) = _in_pieces(row_slices(len(g), g.size, g) if g.ndim else [...],
+                             lambda s, outs: [_apply_keep(g[s], keep[s], rate, outs[0])],
                              [g.shape], g.dtype)
         _accumulate(t, grad)
     return _node(out, (t,), back)
@@ -920,25 +941,31 @@ def _check_dropout(rate, rng) -> None:
                          f"got {type(rng).__name__}")
 
 
-def _dropout_mask(shape, rate, rng, dtype):
-    """keep / (1 - rate): a 1/0 keep mask drawn from rng, rescaled. Applying
-    it is one multiply with the bits of keeping and rescaling apart, since
-    keep is exactly 0 or 1."""
-    mask = (rng.random(shape) >= rate).astype(dtype)
-    mask *= 1.0 / (1.0 - rate)
-    return mask
+def _dropout_mask(shape, rate, rng):
+    """A bool keep mask drawn from rng: True where a draw is at least rate."""
+    return rng.random(shape) >= rate
 
 
-def _mask_in_pieces(pieces, shape, rate, rng, dtype):
-    """(mask, fill): the mask for work in pieces, each filling its own rows
-    (_split_mask), or drawn here whole, with a fill that does nothing, when
-    there is one piece."""
+def _apply_keep(x, keep, rate, out=None):
+    """x * keep / (1 - rate) for a bool keep mask, into out when given: the
+    bits of one multiply by keep.astype(x.dtype) * (1 / (1 - rate)), since
+    keep is exactly 0 or 1 and the rescale comes after (a dropped -x gives
+    -0.0, an inf or nan gives nan, as there)."""
+    out = np.multiply(x, keep, out=out)
+    out *= 1.0 / (1.0 - rate)
+    return out
+
+
+def _mask_in_pieces(pieces, shape, rate, rng):
+    """(mask, fill): the keep mask for work in pieces, each filling its own
+    rows (_split_mask), or drawn here whole, with a fill that does nothing,
+    when there is one piece."""
     if len(pieces) > 1:
-        return _split_mask(shape, rate, rng, dtype)
-    return _dropout_mask(shape, rate, rng, dtype), lambda s: None
+        return _split_mask(shape, rate, rng)
+    return _dropout_mask(shape, rate, rng), lambda s: None
 
 
-def _split_mask(shape, rate, rng, dtype):
+def _split_mask(shape, rate, rng):
     """(mask, fill): an empty _dropout_mask and fill(s), which writes its rows
     s with the values _dropout_mask draws, from a copy of rng's PCG64 moved
     to their first draw with advance(). rng is left where that one draw
@@ -946,8 +973,8 @@ def _split_mask(shape, rate, rng, dtype):
     nothing."""
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64:
-        return _dropout_mask(shape, rate, rng, dtype), lambda s: None
-    mask = np.empty(shape, dtype)
+        return _dropout_mask(shape, rate, rng), lambda s: None
+    mask = np.empty(shape, bool)
     row = mask[:1].size
     start = bg.state
     end = bg.advance(mask.size).state
@@ -959,9 +986,7 @@ def _split_mask(shape, rate, rng, dtype):
         copy = np.random.PCG64()
         copy.state = start
         draws = np.random.Generator(copy.advance(int(s.start) * row)).random(mask[s].shape)
-        rows = mask[s]
-        rows[...] = draws >= rate
-        rows *= 1.0 / (1.0 - rate)
+        np.greater_equal(draws, rate, out=mask[s])
     return mask, fill
 
 
@@ -1030,10 +1055,13 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
     # the forward and backward run along the batch axis, whole or in slices
     pieces = row_slices(b, b * n_heads * length * length, *arrays)
     if rate:
-        mask, fill = _mask_in_pieces(pieces, scores_shape, rate, rng, dtype)
+        keep, fill = _mask_in_pieces(pieces, scores_shape, rate, rng)
+
+    def drop(a, s):  # dropout on a of rows s: the probabilities, or their gradient
+        return _apply_keep(a, keep[s], rate) if rate else a
 
     def forward(s, outs):
-        v, k, q, p, d, o = outs
+        v, k, q, p, o = outs
         v, k, q = (_affine(x.data[s], w.data, bias.data, y)
                    for y, (w, bias) in zip((v, k, q), projections))
         p = np.matmul(heads(q), np.transpose(heads(k), (0, 1, 3, 2)), out=p)
@@ -1042,22 +1070,18 @@ def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
         _softmax(p, -1, out=p)
         if rate:
             fill(s)
-            d = np.multiply(p, mask[s], out=d)
-        else:
-            d = p
-        return v, k, q, p, d, merge_heads(np.matmul(d, heads(v)), o)
-    v, k, q, probs, dropped, out = _in_pieces(
-        pieces, forward, [(b, length, h)] * 3 + [scores_shape] * 2 + [(b, length, h)], dtype)
-    if not rate:
-        dropped = probs
+        return v, k, q, p, merge_heads(np.matmul(drop(p, s), heads(v)), o)
+    v, k, q, probs, out = _in_pieces(
+        pieces, forward, [(b, length, h)] * 3 + [scores_shape, (b, length, h)], dtype)
     qh, vh = heads(q), heads(v)
     kt = np.transpose(heads(k), (0, 1, 3, 2))
 
     def back(g):
         def backward(s, outs):
             g_ctx = np.ascontiguousarray(heads(g[s]))
-            g_dropped, g_vh = _matmul_back(g_ctx, dropped[s], vh[s])
-            g_probs = g_dropped * mask[s] if rate else g_dropped
+            # the forward's dropped probabilities, recomputed: the same multiply, the same bits
+            g_dropped, g_vh = _matmul_back(g_ctx, drop(probs[s], s), vh[s])
+            g_probs = drop(g_dropped, s)
             g_scores = _softmax_back(g_probs, probs[s], -1)
             g_scores *= scale
             g_qh, g_kt = _matmul_back(g_scores, qh[s], kt[s])

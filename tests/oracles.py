@@ -1,7 +1,7 @@
 """Test-only references that no run needs: the finite-difference gradient
-checker, scipy's truncated-normal draw, a corpus writer and the QA F1
-shortcut. The unfused encoder, the other oracle of the fused ops, lives in
-test_model.py."""
+checker, a backward that keeps its graph, dropout's float-mask multiply,
+scipy's truncated-normal draw, a corpus writer and the QA F1 shortcut. The
+unfused encoder, the other oracle of the fused ops, lives in test_model.py."""
 
 import numpy as np
 from scipy.stats import truncnorm
@@ -65,6 +65,24 @@ def _central_differences(f, x: ad.Tensor) -> np.ndarray:
     if not np.isfinite(numeric).all():
         raise NumericFault("grad_check: non-finite finite-difference value")
     return numeric
+
+
+def retaining_backward(root: ad.Tensor) -> None:
+    """root.backward() for a scalar root, walking reversed(_topo_order) and
+    releasing nothing: every node, its saved arrays and its gradient live
+    until the caller drops root. The oracle of Tensor.backward's leaf
+    gradients."""
+    ad._accumulate(root, np.ones_like(root.data))
+    for node in reversed(ad._topo_order(root)):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def float_mask_keep(x, keep, rate, out=None):
+    """autodiff._apply_keep as one multiply by the float mask
+    keep.astype(dtype) * (1 / (1 - rate)), as dropout applied its mask
+    before keep masks were bool."""
+    return np.multiply(x, keep.astype(x.dtype) * (1 / (1 - rate)), out=out)
 
 
 def trunc_normal_scipy(rng: np.random.Generator, shape) -> np.ndarray:

@@ -1,14 +1,20 @@
 """Gradient correctness for every primitive, plus the hand-checkable anchors."""
 
 import threading
+import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from bertlab import autodiff as ad
+from bertlab import model as md
+from bertlab import pretrain as pt
 from bertlab.autodiff import Tensor
-from bertlab.errors import DimensionError, NumericFault
-from oracles import grad_check, grad_check_params
+from bertlab.errors import ConfigurationError, DimensionError, NumericFault
+from bertlab.seeding import substream
+from oracles import float_mask_keep, grad_check, grad_check_params, retaining_backward
 
 FD_TOL = 1e-5
 
@@ -435,8 +441,8 @@ def test_a_split_mask_is_one_draw(shape, n_pieces, buffered):
         rng.integers(0, 10, dtype=np.uint32)
     assert rng.bit_generator.state["has_uint32"] == buffered
     expected_rng = twin(rng)
-    want = ad._dropout_mask(shape, 0.3, expected_rng, np.float32)
-    mask, fill = ad._split_mask(shape, 0.3, rng, np.float32)
+    want = ad._dropout_mask(shape, 0.3, expected_rng)
+    mask, fill = ad._split_mask(shape, 0.3, rng)
     bounds = np.linspace(0, shape[0], min(n_pieces, max(shape[0], 1)) + 1).astype(int)
     for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
         fill(slice(lo, hi))
@@ -449,8 +455,8 @@ def test_a_split_mask_is_one_draw(shape, n_pieces, buffered):
 
 def test_a_mask_from_another_bit_generator_is_drawn_whole():
     rng = np.random.Generator(np.random.MT19937(44))
-    want = ad._dropout_mask((5, 3), 0.5, np.random.Generator(np.random.MT19937(44)), np.float64)
-    mask, fill = ad._split_mask((5, 3), 0.5, rng, np.float64)
+    want = ad._dropout_mask((5, 3), 0.5, np.random.Generator(np.random.MT19937(44)))
+    mask, fill = ad._split_mask((5, 3), 0.5, rng)
     fill(slice(0, 2))
     assert mask.tobytes() == want.tobytes()
 
@@ -537,6 +543,23 @@ def test_an_error_in_a_helper_reaches_the_caller_and_everything_is_restored(monk
     assert threading.active_count() == threads and blas_threads() == blas
 
 
+@needs_blas_controls
+def test_a_helper_lets_go_of_its_last_job(monkeypatch):
+    monkeypatch.setattr(ad, "_cpu_count", lambda: 2)
+
+    def work_on(a):
+        return lambda k: k + a.size
+    held = np.zeros(8)
+    freed = weakref.ref(held)
+    with ad.workers(4):
+        assert ad.share(work_on(held), range(4)) == [8, 9, 10, 11]
+        del held
+        deadline = time.monotonic() + 10
+        while freed() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert freed() is None   # while the helper waits for its next job
+
+
 def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(ad, "_cpu_count", lambda: 1)
     threads = threading.active_count()
@@ -573,3 +596,151 @@ def test_the_first_desk_size_op_keeps_freed_memory_once_per_process(monkeypatch)
     with ad.workers(16):
         ad.row_slices(16, 1 << 30)
     assert len(calls) == 2
+
+
+# -- backward releases the graph as it walks it ---------------------------------
+
+
+def encoder_loss(dtype, rate, n_layers=2, hidden_dim=16, ff_dim=32, length=12, b=4,
+                 vocab_size=20, seed=50):
+    """(loss, params): the MLM + NSP pretraining loss of a small encoder on a
+    padded batch, with dropout at rate, built afresh from seed."""
+    with ad.precision(dtype):
+        config = md.ModelConfig(n_layers=n_layers, hidden_dim=hidden_dim, n_heads=2,
+                                ff_dim=ff_dim, max_seq_len=length, vocab_size=vocab_size,
+                                dropout_rate=rate)
+        params = md.init_params(config, substream(seed, "init"))
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(5, vocab_size, (b, length))
+        ids[:, 0] = 2
+        mask = np.ones_like(ids)
+        mask[:, length - 2:], ids[:, length - 2:] = 0, 0
+        targets = np.where((rng.random(ids.shape) < 0.15) & (mask == 1), ids, ad.IGNORE_INDEX)
+        targets[:, 0], targets[:, 1] = ad.IGNORE_INDEX, ids[:, 1]
+        batch = pt.PretrainBatch(ids, np.zeros_like(ids), mask, targets, rng.integers(0, 2, b))
+        loss = pt.pretrain_loss(params, config, batch, train=True,
+                                rng=np.random.default_rng(seed + 1))[0]
+    return loss, params
+
+
+@pytest.mark.parametrize("n_workers", [1, pytest.param(2, marks=needs_blas_controls)])
+@pytest.mark.parametrize("rate", [0.0, 0.1], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_released_backward_gives_the_leaf_gradients_of_a_retained_one(
+        monkeypatch, dtype, rate, n_workers):
+    force_split(monkeypatch, n_workers, block=64)
+    grads = []
+    for backward in (retaining_backward, Tensor.backward):
+        with ad.workers(4):
+            loss, params = encoder_loss(dtype, rate)
+            backward(loss)
+        grads.append({p: t.grad.tobytes() for p, t in params.items()})
+    assert grads[0] == grads[1]
+
+
+def test_backward_releases_every_op_node_and_keeps_leaf_gradients():
+    loss, _ = encoder_loss("float32", 0.1)
+    order = ad._topo_order(loss)
+    ops = [n for n in order if n._backward is not None]
+    leaves = [n for n in order if n._backward is None]
+    outputs = [weakref.ref(n.data) for n in ops if n is not loss and n.data.base is None]
+    del order
+    assert outputs and all(ref() is not None for ref in outputs)
+    loss.backward()
+    assert ops and all(n._parents == () and n._backward is ad._released and n.grad is None
+                       for n in ops)
+    assert leaves and all(n.grad is not None for n in leaves)
+    del ops
+    # with the loss still held, no output of the graph under it is alive
+    assert all(ref() is None for ref in outputs)
+
+
+def test_backward_frees_an_output_once_the_walk_has_passed_it():
+    x = rand((64, 64), seed=52)
+    freed = []
+
+    def probe_back(g):   # runs after every node above the probe
+        freed.append(output() is None)
+        ad._accumulate(x, g)
+    probe = ad._node(x.data.copy(), (x,), probe_back)
+    h = ad.tanh(probe)
+    output = weakref.ref(h.data)
+    loss = ad.sum_all(ad.tanh(h))
+    del h
+    loss.backward()
+    assert freed == [True]
+
+
+def test_a_graph_is_backed_through_once():
+    x = rand((3, 4), seed=51)
+    y = ad.tanh(x)
+    loss = ad.sum_all(ad.mul(y, y))
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(ConfigurationError, match="released graph"):
+        loss.backward()
+    with pytest.raises(ConfigurationError, match="released graph"):
+        ad.sum_all(ad.scale(y, 2.0)).backward()   # a new graph on a released node
+    assert x.grad.tobytes() == first.tobytes()
+
+
+def test_a_step_peaks_near_the_memory_its_forward_left_live():
+    # four layers with an FFN of 4H, as the README desk model; keeping the
+    # whole graph through backward peaks at 1.64x here
+    tracemalloc.start()
+    try:
+        loss, _ = encoder_loss("float32", 0.1, n_layers=4, hidden_dim=32, ff_dim=128,
+                               length=32, b=8, vocab_size=100)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * live
+
+
+# -- bool keep masks give the bits of the float-mask multiply -------------------
+
+
+def with_specials(rng, shape, dtype):
+    """_zero_heavy values with ±inf, nan and negative values among them."""
+    x = _zero_heavy(rng, shape, dtype)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, 8, replace=False)] = np.repeat([np.inf, -np.inf, np.nan, -1.5], 2)
+    return x
+
+
+# inf * 0 is nan, and a helper thread warns of it whatever the caller's errstate
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize("n_workers", [1, pytest.param(3, marks=needs_blas_controls)])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_bool_keep_masks_give_the_bytes_of_the_float_mask_multiply(
+        monkeypatch, dtype, n_workers, bit_generator):
+    rng = np.random.default_rng(52)
+    force_split(monkeypatch, n_workers)
+    x, g = (with_specials(rng, (6, 5, 4), dtype) for _ in range(2))
+    with ad.precision(dtype), ad.workers(6):
+        t = Tensor(x, requires_grad=True)
+        out = ad.dropout(t, 0.3, np.random.Generator(bit_generator(53)))
+        out.backward(g)
+        keep = np.random.Generator(bit_generator(53)).random(x.shape) >= 0.3
+        assert out.data.tobytes() == float_mask_keep(x, keep, 0.3).tobytes()
+        assert t.grad.tobytes() == float_mask_keep(g, keep, 0.3).tobytes()
+
+    inputs = [rng.standard_normal((6, 5, 4)).astype(dtype)] + [
+        rng.standard_normal(shape).astype(dtype) for shape in [(4, 4), (4,)] * 3]
+    mask_bias = np.where(np.arange(5) < 4, 0.0, -1e9)[None, None, None, :]
+
+    def attention_bytes(g):
+        ts = [Tensor(a, requires_grad=True) for a in inputs]
+        with ad.precision(dtype), ad.workers(6):
+            out = ad.attention(*ts, mask_bias, 2, 0.3, np.random.Generator(bit_generator(54)))
+            out.backward(g)
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in ts]
+    for g in (_zero_heavy(rng, (6, 5, 4), dtype), with_specials(rng, (6, 5, 4), dtype)):
+        got = attention_bytes(g)
+        with monkeypatch.context() as patched:
+            patched.setattr(ad, "_apply_keep", float_mask_keep)
+            assert got == attention_bytes(g)
